@@ -61,6 +61,20 @@ class Executable:
             self._fingerprint = cached  # type: ignore[attr-defined]
         return cached
 
+    def label_digest(self) -> str:
+        """Digest of the code's names (``labels`` and ``func_entries``),
+        which :meth:`fingerprint` leaves out.  Block profiles are keyed
+        by function and block *name*, so every store key derived from a
+        profile carries this next to the fingerprint.  Cached like it."""
+        cached = getattr(self, "_label_digest", None)
+        if cached is None:
+            cached = hashlib.sha256(repr((
+                sorted(self.labels.items()),
+                sorted(self.func_entries.items()),
+            )).encode("utf-8")).hexdigest()
+            self._label_digest = cached  # type: ignore[attr-defined]
+        return cached
+
     def run(self, **kwargs):
         """Execute the image and return its
         :class:`~repro.sim.stats.RunStats`.

@@ -36,7 +36,12 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 from repro.pipeline.driver import CompiledProgram, compile_program, Source
 from repro.pipeline.linker import Executable
 from repro.pipeline.options import CompilerOptions, O2
-from repro.sim.simulator import run_program
+from repro.sim.simulator import (
+    DEFAULT_MAX_CYCLES,
+    DEFAULT_STACK_WORDS,
+    run_program,
+)
+from repro.store.store import NS_PROFILE
 
 
 class BlockProfile(dict):
@@ -60,6 +65,9 @@ class BlockProfile(dict):
         self.call_args: Dict[str, Tuple[Optional[int], ...]] = {
             fn: tuple(args) for fn, args in (call_args or {}).items()
         }
+        #: served from an artifact store rather than profiled in this
+        #: process (reported on ``RunStats.jit3``; not part of the digest)
+        self.from_store = False
 
     def digest(self) -> str:
         """SHA-256 over a canonical serialisation -- equal profiles get
@@ -120,13 +128,48 @@ def attach_profile(
 
 
 def block_profile_of(
-    prog: CompiledProgram, attach: bool = True, **run_kwargs
+    target: Union[CompiledProgram, Executable],
+    attach: bool = True,
+    store=None,
+    stack_words: int = DEFAULT_STACK_WORDS,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
+    **run_kwargs,
 ) -> BlockProfile:
-    """Run ``prog`` once with block counting and call-argument
+    """Run ``target`` once with block counting and call-argument
     observation; returns the :class:`BlockProfile`, attached to the
-    program's executable (see :func:`attach_profile`) unless
-    ``attach=False``."""
-    exe = prog.executable
+    executable (see :func:`attach_profile`) unless ``attach=False``.
+
+    The profile is a pure function of the executable, its names and the
+    run's ``stack_words``/``max_cycles``, so with an
+    :class:`~repro.store.ArtifactStore` it is looked up under
+    ``NS_PROFILE`` first and ``put`` after a miss.  An entry that does
+    not decode is quarantined and the program profiled again.  A trap
+    in the profiling run propagates (nothing is stored).
+    """
+    exe = getattr(target, "executable", target)
+    key = (exe.fingerprint(), exe.label_digest(), stack_words, max_cycles)
+    profile = None
+    if store is not None:
+        text = store.get(NS_PROFILE, key)
+        if text is not None:
+            try:
+                profile = BlockProfile.from_json(text)
+                profile.from_store = True
+            except (ValueError, TypeError, AttributeError):
+                # not JSON, or JSON of the wrong shape
+                store.quarantine(NS_PROFILE, key)
+    if profile is None:
+        profile = _profile_run(exe, stack_words, max_cycles, run_kwargs)
+        if store is not None:
+            store.put(NS_PROFILE, key, profile.to_json())
+    if attach:
+        attach_profile(exe, profile)
+    return profile
+
+
+def _profile_run(
+    exe: Executable, stack_words: int, max_cycles: int, run_kwargs
+) -> BlockProfile:
     starts: Dict[int, int] = {}
     where: Dict[int, Tuple[str, str]] = {}
     for label, pc in exe.labels.items():
@@ -137,7 +180,10 @@ def block_profile_of(
             starts[pc] = 0
             where[pc] = (fn, block)
     observed: Dict[int, list] = {}
-    run_program(exe, block_counts=starts, call_args=observed, **run_kwargs)
+    run_program(
+        exe, stack_words=stack_words, max_cycles=max_cycles,
+        block_counts=starts, call_args=observed, **run_kwargs,
+    )
     counts: Dict[str, Dict[str, int]] = {}
     for pc, count in starts.items():
         fn, block = where[pc]
@@ -147,10 +193,7 @@ def block_profile_of(
         for pc, args in observed.items()
         if pc in exe.func_at_pc
     }
-    profile = BlockProfile(counts, call_args)
-    if attach:
-        attach_profile(exe, profile)
-    return profile
+    return BlockProfile(counts, call_args)
 
 
 def collect_block_profile(

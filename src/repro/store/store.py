@@ -79,9 +79,13 @@ SCRUB_STATE = "scrub.json"
 NS_FRONTEND = "fe"
 NS_PLAN = "plan"
 NS_CODEGEN = "code"
-#: tier-3 JIT trace translations, keyed by
-#: (executable fingerprint, profile digest, sim parameters)
+#: tier-3 JIT trace translations: the marshalled code object plus exit
+#: constants, keyed by (executable fingerprint, label digest, profile
+#: digest, sim parameters, options, ``sys.implementation.cache_tag``)
 NS_JIT3 = "jit3"
+#: interpreter block profiles (``BlockProfile.to_json``), keyed by
+#: (executable fingerprint, label digest, stack words, cycle budget)
+NS_PROFILE = "profile"
 
 
 class StoreError(RuntimeError):
@@ -335,6 +339,16 @@ class ArtifactStore:
         if not qdir.is_dir():
             return []
         return sorted(p.name for p in qdir.glob("*.blob"))
+
+    def quarantine(self, namespace: str, key) -> bool:
+        """Quarantine an entry whose checksum held but whose payload its
+        reader cannot decode (a profile that is not valid JSON, trace
+        code that does not unmarshal).  Counted as a corruption, like a
+        checksum mismatch; the next lookup misses and the reader's
+        re-``put`` repairs the entry."""
+        with self._lock:
+            self.stats.corruptions += 1
+        return self._quarantine(Path(self._path(namespace, key)))
 
     def _quarantine(self, path: Path) -> bool:
         """Move a corrupt blob into ``quarantine/`` -- vacating its

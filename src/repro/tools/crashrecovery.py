@@ -12,7 +12,8 @@ manufactures exactly that crash, deterministically:
    ``publish:<ns>`` with the namespace drawn from the seed) and starts
    compiling the benchmark suite into a shared store;
 2. the parent polls the store for the victim's in-flight ``*.tmp`` file
-   and, the moment it appears -- the victim is stalled mid-``put`` --
+   and, once one has stayed for :data:`STALL_SECONDS` -- the victim is
+   stalled mid-``put``, not publishing one of the puts before it --
    delivers a real ``SIGKILL``;
 3. recovery must then show the store *self-heals*:
 
@@ -41,7 +42,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro import faults
 from repro.pipeline.options import PAPER_CONFIGS
@@ -51,6 +52,10 @@ from repro.tools.warmstart import _spawn_child, compile_suite
 #: namespaces the seed may aim the mid-publish hang at (both are written
 #: during every suite compile)
 KILL_NAMESPACES = (NS_PLAN, NS_CODEGEN)
+
+#: how long a temp file must persist to be the stalled publish: every
+#: other put renames its temp away within milliseconds
+STALL_SECONDS = 0.5
 
 
 def _child_env() -> dict:
@@ -117,13 +122,17 @@ def run_crashrecovery(
     try:
         victim = _spawn_victim(store, configs, names, ns)
         stalled_tmp: Optional[Path] = None
+        first_seen: Dict[Path, float] = {}
         deadline = time.monotonic() + kill_timeout
         while time.monotonic() < deadline:
             if victim.poll() is not None:
                 break
-            temps = sorted(Path(store).glob("*/*.tmp"))
-            if temps:
-                stalled_tmp = temps[0]
+            now = time.monotonic()
+            for tmp in sorted(Path(store).glob("*/*.tmp")):
+                if now - first_seen.setdefault(tmp, now) >= STALL_SECONDS:
+                    stalled_tmp = tmp
+                    break
+            if stalled_tmp is not None:
                 break
             time.sleep(0.01)
 

@@ -287,7 +287,8 @@ def service_report(service) -> str:
 def jit3_report(stats_or_info) -> str:
     """The tier-3 trace JIT's translation decisions for one run: trace
     shape, cross-procedure inline/link counts, specialization guards,
-    host register syncs elided by linking, and every bailout reason.
+    host register syncs elided by linking, every bailout reason, and
+    whether the profile and the translation came from the store.
     Takes a :class:`~repro.sim.stats.RunStats` (from a ``jit3`` run) or
     its ``jit3`` dict directly."""
     info = getattr(stats_or_info, "jit3", stats_or_info)
@@ -302,6 +303,10 @@ def jit3_report(stats_or_info) -> str:
         f"linked loops: {info.get('linked_loops', 0)}  "
         f"specialization guards: {info.get('spec_guards', 0)}",
         f"elided host register syncs: {info.get('elided_syncs', 0)}",
+        "served from the store: profile "
+        + ("yes" if info.get("profile_from_store") else "no")
+        + "  translation "
+        + ("yes" if info.get("translation_from_store") else "no"),
     ]
     bailouts = info.get("bailouts") or {}
     if bailouts:

@@ -159,35 +159,67 @@ def test_trap_inside_inlined_body_is_identical_strict():
         prog.run()
 
 
+def assert_budget_sweep_matches_interp(exe, run_tier3):
+    """``run_tier3(budget)`` must finish or trap exactly as the
+    interpreter does at every budget of a sweep of tight ones."""
+    full = run_program(exe).cycles
+
+    def outcome(run):
+        try:
+            s = run()
+            return ("ok", s.cycles, s.instructions, tuple(s.output))
+        except MachineTrap as e:
+            return ("trap", str(e))
+
+    for budget in (1, 7, 50, full - 2, full - 1, full, full + 1):
+        interp = outcome(lambda: run_program(exe, max_cycles=budget))
+        jit3 = outcome(lambda: run_tier3(budget))
+        assert interp == jit3, f"budget {budget}: {interp} != {jit3}"
+
+
 def test_budget_traps_are_identical_at_every_cycle_count():
     # the fast trace variants hoist all budget checks into one entry
     # test that deopts to a fully-guarded twin; a sweep of tight
     # budgets exercises both the deopt route and the twin's
     # per-instruction guards against the interpreter's exact behaviour
     exe, profile = build()
-    full = run_program(exe).cycles
-
-    def outcome(budget, runner):
-        try:
-            s = runner(max_cycles=budget)
-            return ("ok", s.cycles, s.instructions, tuple(s.output))
-        except MachineTrap as e:
-            return ("trap", str(e))
-
-    for budget in (1, 7, 50, full - 2, full - 1, full, full + 1):
-        interp = outcome(
-            budget, lambda **kw: run_program(exe, **kw)
-        )
-        jit3 = outcome(
-            budget, lambda **kw: run_jit3(exe, profile=profile, **kw)
-        )
-        assert interp == jit3, f"budget {budget}: {interp} != {jit3}"
+    assert_budget_sweep_matches_interp(
+        exe,
+        lambda budget: run_jit3(exe, profile=profile, max_cycles=budget),
+    )
 
 
-def test_fast_variants_carry_a_guarded_twin():
+def test_budget_traps_are_identical_on_a_restored_translation():
+    # the same sweep over translations restored from the store (marshal
+    # -> exec, no translating) instead of freshly translated ones
     exe, profile = build()
+    with tempfile.TemporaryDirectory(prefix="repro-jit3-") as tmp:
+        store = ArtifactStore(tmp)
+
+        def run_restored(budget):
+            Jit3Program(exe, max_cycles=budget, profile=profile,
+                        store=store)  # warms the store
+            prog = restore_only(exe, store, profile=profile,
+                                max_cycles=budget)
+            assert prog.translation_from_store
+            return prog.run()
+
+        assert_budget_sweep_matches_interp(exe, run_restored)
+
+
+def test_fast_variants_carry_a_guarded_twin(monkeypatch):
+    exe, profile = build()
+    sources = []
+    real_compile = compile
+
+    def capture(source, *args, **kwargs):
+        sources.append(source)
+        return real_compile(source, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.compile", capture)
     prog = Jit3Program(exe, profile=profile)
-    source = "\n".join(prog._sources)
+    monkeypatch.undo()
+    source = "\n".join(sources)
     assert "def _g" in source           # deopt twins exist
     assert "return _g" in source        # ...and fast variants route there
     # the fast variants carry no per-instruction budget guards: every
@@ -232,12 +264,9 @@ def test_translation_roundtrips_through_the_store():
 
         # a second translation of the same (exe, profile, params) must
         # restore from the store without translating anything
-        second = Jit3Program.__new__(Jit3Program)
-        second._translate_superblock = _boom  # type: ignore[attr-defined]
-        Jit3Program.__init__(
-            second, exe, profile=profile, store=store
-        )
-        assert second._sources  # installed from the artifact
+        second = restore_only(exe, store, profile=profile)
+        assert second.translation_from_store
+        assert set(second.table) == set(first.table)  # restored dispatch
         stats2 = second.run()
         assert stats2 == ref
         assert stats2.jit3["traces"] == stats1.jit3["traces"]
@@ -245,6 +274,15 @@ def test_translation_roundtrips_through_the_store():
 
 def _boom(*a, **kw):  # pragma: no cover - must never be called
     raise AssertionError("store hit should have skipped translation")
+
+
+def restore_only(exe, store, **kwargs):
+    """A :class:`Jit3Program` that must come from ``store``: translating
+    anything raises."""
+    prog = Jit3Program.__new__(Jit3Program)
+    prog._translate_superblock = _boom  # type: ignore[attr-defined]
+    Jit3Program.__init__(prog, exe, store=store, **kwargs)
+    return prog
 
 
 # -- the fault ladder --------------------------------------------------------
@@ -300,6 +338,45 @@ def test_explicit_jit3_self_profiles():
     assert getattr(exe, "_block_profile", None) is not None
 
 
+LOOP_FOREVER = """
+func main() {
+  var i = 0;
+  while (1) { i = i + 1; }
+}
+"""
+
+
+def test_self_profile_honours_the_callers_budget():
+    # the profiling run used to ignore max_cycles and run the default
+    # 2e9-cycle budget; it must trap at the caller's budget, exactly as
+    # the interpreter does
+    exe = compile_program(LOOP_FOREVER, O2).executable
+    with pytest.raises(MachineTrap) as interp:
+        run_program(exe, max_cycles=10_000)
+    with pytest.raises(MachineTrap) as jit3:
+        simulate(exe, sim_tier="jit3", max_cycles=10_000)
+    assert str(jit3.value) == str(interp.value)
+    assert getattr(exe, "_block_profile", None) is None
+
+
+def test_self_profile_uses_the_callers_stack_words(monkeypatch):
+    import repro.pipeline.profile as profile_module
+
+    seen = []
+    real = profile_module.run_program
+
+    def spy(exe, **kwargs):
+        seen.append((kwargs["stack_words"], kwargs["max_cycles"]))
+        return real(exe, **kwargs)
+
+    monkeypatch.setattr(profile_module, "run_program", spy)
+    exe = compile_program(HOT_CALL, O2).executable
+    stats = simulate(exe, sim_tier="jit3", stack_words=512,
+                     max_cycles=123_456)
+    assert seen == [(512, 123_456)]
+    assert stats == run_program(exe, stack_words=512, max_cycles=123_456)
+
+
 def test_jit3_tier_rejects_interpreter_features():
     exe = compile_program("func main() {}", O2).executable
     with pytest.raises(ValueError, match="check_contracts"):
@@ -313,6 +390,7 @@ def test_jit3_report_renders_decisions():
     stats = run_jit3(exe, profile=profile)
     text = jit3_report(stats)
     assert "inlined calls" in text and "linked loops" in text
+    assert "served from the store: profile no  translation no" in text
     assert jit3_report(stats.jit3) == text
     assert "no tier-3 data" in jit3_report(run_program(exe))
 
