@@ -112,3 +112,111 @@ def test_all_punctuation_tokens():
     toks = tokenize(src)[:-1]
     assert len(toks) == len(src.split())
     assert all(t.kind is TokKind.PUNCT for t in toks)
+
+
+# -- exact token streams and diagnostics --------------------------------------
+#
+# (kind, text, value, line, col) for every token, EOF included, and the exact
+# LexError message and location: any rewrite of the lexer must reproduce
+# these bit for bit, because positions reach every later diagnostic.
+
+STREAM_PINS = [
+    (
+        "var x = 1; /* one\n   two\n\tthree */ y=x<<2 >>1;\n"
+        "/**/z/* a */w // tail",
+        [
+            ("KEYWORD", "var", 0, 1, 1), ("IDENT", "x", 0, 1, 5),
+            ("PUNCT", "=", 0, 1, 7), ("INT", "1", 1, 1, 9),
+            ("PUNCT", ";", 0, 1, 10), ("IDENT", "y", 0, 3, 11),
+            ("PUNCT", "=", 0, 3, 12), ("IDENT", "x", 0, 3, 13),
+            ("PUNCT", "<<", 0, 3, 14), ("INT", "2", 2, 3, 16),
+            ("PUNCT", ">>", 0, 3, 18), ("INT", "1", 1, 3, 20),
+            ("PUNCT", ";", 0, 3, 21), ("IDENT", "z", 0, 4, 5),
+            ("IDENT", "w", 0, 4, 13), ("EOF", "", 0, 4, 15),
+        ],
+    ),
+    # a trailing line comment leaves EOF at the comment's start column
+    ("a // only comment", [("IDENT", "a", 0, 1, 1), ("EOF", "", 0, 1, 3)]),
+    ("  \t\r\n\n  q", [("IDENT", "q", 0, 3, 3), ("EOF", "", 0, 3, 4)]),
+    (
+        r"""'\n' '\t' '\0' '\'' '\\' '\"' '\r' 'a' '''""",
+        [
+            ("INT", r"'\n'", 10, 1, 1), ("INT", r"'\t'", 9, 1, 6),
+            ("INT", r"'\0'", 0, 1, 11), ("INT", r"'\''", 39, 1, 16),
+            ("INT", r"'\\'", 92, 1, 21), ("INT", r"""'\"'""", 34, 1, 26),
+            ("INT", r"'\r'", 13, 1, 31), ("INT", "'a'", 97, 1, 36),
+            ("INT", "'''", 39, 1, 40), ("EOF", "", 0, 1, 43),
+        ],
+    ),
+    # a raw newline inside a character literal does not start a new line
+    ("'\n' x", [("INT", "'\n'", 10, 1, 1), ("IDENT", "x", 0, 1, 5),
+                ("EOF", "", 0, 1, 6)]),
+    (
+        "12ab _x1 __ while whilex",
+        [
+            ("INT", "12", 12, 1, 1), ("IDENT", "ab", 0, 1, 3),
+            ("IDENT", "_x1", 0, 1, 6), ("IDENT", "__", 0, 1, 10),
+            ("KEYWORD", "while", 0, 1, 13), ("IDENT", "whilex", 0, 1, 19),
+            ("EOF", "", 0, 1, 25),
+        ],
+    ),
+    (
+        "a<=b>=c==d!=e&&f||g<<h>>i+-*/%<>=!&|^~(){}[],;",
+        [("IDENT", "a", 0, 1, 1)]
+        + [
+            (kind, text, 0, 1, col)
+            for kind, text, col in [
+                ("PUNCT", "<=", 2), ("IDENT", "b", 4), ("PUNCT", ">=", 5),
+                ("IDENT", "c", 7), ("PUNCT", "==", 8), ("IDENT", "d", 10),
+                ("PUNCT", "!=", 11), ("IDENT", "e", 13), ("PUNCT", "&&", 14),
+                ("IDENT", "f", 16), ("PUNCT", "||", 17), ("IDENT", "g", 19),
+                ("PUNCT", "<<", 20), ("IDENT", "h", 22), ("PUNCT", ">>", 23),
+                ("IDENT", "i", 25), ("PUNCT", "+", 26), ("PUNCT", "-", 27),
+                ("PUNCT", "*", 28), ("PUNCT", "/", 29), ("PUNCT", "%", 30),
+                ("PUNCT", "<", 31), ("PUNCT", ">=", 32), ("PUNCT", "!", 34),
+                ("PUNCT", "&", 35), ("PUNCT", "|", 36), ("PUNCT", "^", 37),
+                ("PUNCT", "~", 38), ("PUNCT", "(", 39), ("PUNCT", ")", 40),
+                ("PUNCT", "{", 41), ("PUNCT", "}", 42), ("PUNCT", "[", 43),
+                ("PUNCT", "]", 44), ("PUNCT", ",", 45), ("PUNCT", ";", 46),
+                ("EOF", "", 47),
+            ]
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("src,expected", STREAM_PINS)
+def test_token_stream_is_pinned(src, expected):
+    got = [(t.kind.name, t.text, t.value, t.line, t.col) for t in tokenize(src)]
+    assert got == expected
+
+
+ERROR_PINS = [
+    ("/* never ends", "unterminated block comment", 1, 13),
+    ("x\n /* a\nb", "unterminated block comment", 3, 1),
+    ("/*", "unterminated block comment", 1, 3),
+    ("/*\n", "unterminated block comment", 1, 3),
+    ("/*/", "unterminated block comment", 1, 3),
+    ("a $ b", "unexpected character '$'", 1, 3),
+    ("ok\n  @", "unexpected character '@'", 2, 3),
+    ("#", "unexpected character '#'", 1, 1),
+    ("b /* c */ `", "unexpected character '`'", 1, 11),
+    (r"'\q'", r"unknown escape '\q'", 1, 1),
+    (r"x = '\z'", r"unknown escape '\z'", 1, 5),
+    (r"'\n", "malformed character escape", 1, 1),
+    (r"'\nx'", "malformed character escape", 1, 1),
+    ("a\n'\\", "malformed character escape", 2, 1),
+    ("'", "unterminated character literal", 1, 1),
+    ("'ab'", "unterminated character literal", 1, 1),
+    ("'a", "unterminated character literal", 1, 1),
+    ("  '", "unterminated character literal", 1, 3),
+]
+
+
+@pytest.mark.parametrize("src,message,line,col", ERROR_PINS)
+def test_lex_error_is_pinned(src, message, line, col):
+    with pytest.raises(LexError) as info:
+        tokenize(src)
+    assert (info.value.message, info.value.line, info.value.col) == (
+        message, line, col,
+    )
