@@ -23,6 +23,7 @@ cached functions are immutable once published, so the memo is safe.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import fields
 from typing import Dict, List, Optional, Tuple
@@ -57,10 +58,17 @@ def _encode_value(v, out: List[str]) -> None:
         raise TypeError(f"unencodable IR operand {v!r}")
 
 
+@functools.cache
+def _field_names(cls: type) -> Tuple[str, ...]:
+    """An IR instruction type's dataclass field names, in declaration order."""
+    return tuple(f.name for f in fields(cls))
+
+
 def _encode_instr(ins, out: List[str]) -> None:
-    out.append(type(ins).__name__)
-    for f in fields(ins):
-        _encode_value(getattr(ins, f.name), out)
+    cls = type(ins)
+    out.append(cls.__name__)
+    for name in _field_names(cls):
+        _encode_value(getattr(ins, name), out)
 
 
 def function_fingerprint(fn: IRFunction) -> str:

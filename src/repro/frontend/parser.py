@@ -52,13 +52,14 @@ _PRECEDENCE = {
 class Parser:
     def __init__(self, tokens: List[Token]):
         self._toks = tokens
-        self._pos = 0
+        self._seek(0)
 
     # -- token helpers ------------------------------------------------------
 
-    @property
-    def _cur(self) -> Token:
-        return self._toks[self._pos]
+    def _seek(self, pos: int) -> None:
+        """Move to token ``pos``; ``_cur`` always holds that token."""
+        self._pos = pos
+        self._cur = self._toks[pos]
 
     def _peek(self, ahead: int = 1) -> Token:
         return self._toks[min(self._pos + ahead, len(self._toks) - 1)]
@@ -66,7 +67,7 @@ class Parser:
     def _advance(self) -> Token:
         tok = self._cur
         if tok.kind is not TokKind.EOF:
-            self._pos += 1
+            self._seek(self._pos + 1)
         return tok
 
     def _error(self, msg: str) -> ParseError:
@@ -74,8 +75,10 @@ class Parser:
         return ParseError(msg, tok.line, tok.col)
 
     def _check(self, text: str) -> bool:
-        tok = self._cur
-        return tok.kind in (TokKind.PUNCT, TokKind.KEYWORD) and tok.text == text
+        """Is the current token the punctuation or keyword ``text``?  Only
+        PUNCT and KEYWORD tokens can be spelled like one: an IDENT is never
+        a keyword, an INT starts with a digit or a quote, EOF is empty."""
+        return self._cur.text == text
 
     def _accept(self, text: str) -> bool:
         if self._check(text):
@@ -284,7 +287,7 @@ class Parser:
                         line=tok.line, name=tok.text, index=index,
                         value=self._expr(),
                     )
-                self._pos = save  # bare expression: re-parse as expr
+                self._seek(save)  # bare expression: re-parse as expr
         expr = self._expr()
         return ast.ExprStmt(line=expr.line, expr=expr)
 

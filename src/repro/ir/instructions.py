@@ -28,7 +28,7 @@ class IRInstr:
         return ()
 
     def use_vregs(self) -> Tuple[VReg, ...]:
-        return tuple(v for v in self.uses() if isinstance(v, VReg))
+        return tuple([v for v in self.uses() if isinstance(v, VReg)])
 
     @property
     def is_call(self) -> bool:
@@ -197,7 +197,7 @@ class Terminator:
         return ()
 
     def use_vregs(self) -> Tuple[VReg, ...]:
-        return tuple(v for v in self.uses() if isinstance(v, VReg))
+        return tuple([v for v in self.uses() if isinstance(v, VReg)])
 
     def successors(self) -> Tuple[str, ...]:
         return ()

@@ -125,16 +125,12 @@ def allocate_function(
         key=lambda v: v.name,
     )
     liveness = compute_liveness(cfg, exit_live=exit_live)
-    ranges = build_ranges(
-        cfg, liveness, loops, candidates,
-        block_weights=_resolve_block_weights(cfg, options.block_weights),
-    )
+    weights = _resolve_block_weights(cfg, options.block_weights)
+    ranges = build_ranges(cfg, liveness, loops, candidates, block_weights=weights)
 
-
-    resolved_weights = _resolve_block_weights(cfg, options.block_weights)
     entry_weight = 1
-    if resolved_weights is not None and resolved_weights:
-        entry_weight = max(1, resolved_weights[cfg.entry])
+    if weights:
+        entry_weight = max(1, weights[cfg.entry])
     model = PriorityModel(env=env, entry_weight=entry_weight)
     for rc in ranges.all_calls:
         model.call_clobbers[id(rc.instr)] = env.clobber_mask(rc.instr)
@@ -149,57 +145,67 @@ def allocate_function(
         result.call_params[id(rc.instr)] = list(env.param_specs(rc.instr))
 
     # Order candidates by optimistic priority (highest first); note dead
-    # ranges (no blocks / zero benefit) are skipped outright.
+    # ranges (no blocks / zero benefit) are skipped outright.  Each range's
+    # cost and bonus vectors are built once and serve both the ordering
+    # and the per-register choice below.
+    bonuses = model.bonus_vectors()
+    no_bonus: Dict[int, int] = {}
     order = []
     for v in candidates:
         lr = ranges.ranges.get(v)
         if lr is None or not lr.blocks:
             continue
-        if model.benefit(lr) <= 0 and v.kind is not VKind.GLOBAL:
+        benefit = model.benefit(lr)
+        if benefit <= 0 and v.kind is not VKind.GLOBAL:
             continue
-        order.append((model.order_key(lr), lr))
-    order.sort(key=lambda pair: (-pair[0], pair[1].vreg.name))
+        costs = model.clobber_costs(lr)
+        bonus = bonuses.get(v, no_bonus)
+        order.append(
+            (model.order_key(lr, costs, bonus), lr, benefit, costs, bonus)
+        )
+    order.sort(key=lambda entry: (-entry[0], entry[1].vreg.name))
 
     used_mask = 0
     save_obligation = env.callee_saved_convention_applies
     callee_mask = env.convention.callee_mask
-    regs = env.convention.allocatable
+    entry_save = SAVE_RESTORE_COST * model.entry_weight
+    prefer_subtree = options.prefer_subtree_reg
+    assignment = result.assignment
 
-    for _, lr in order:
+    for _, lr, benefit, costs, bonus in order:
         v = lr.vreg
-        forbidden: Set[int] = set()
+        forbidden = 0
         for n in ranges.neighbors(v):
-            r = result.assignment.get(n)
+            r = assignment.get(n)
             if r is not None:
-                forbidden.add(r.index)
-        best: Optional[Tuple[float, int, int, int, Register]] = None
-        for r in regs:
-            if r.index in forbidden:
+                forbidden |= 1 << r.index
+        span = lr.span
+        # priority(v, r) = (benefit + bonus - cost - first use) / span; the
+        # best key is the highest priority, then a register already used in
+        # the call tree, then one already used here, then the lowest index.
+        best_key: Optional[Tuple[float, int, int, int]] = None
+        best: Optional[Register] = None
+        for r, index, bit in model.pool:
+            if forbidden & bit:
                 continue
-            first_use = 0
-            if (
-                save_obligation
-                and (callee_mask >> r.index & 1)
-                and not (used_mask & (1 << r.index))
-            ):
-                first_use = SAVE_RESTORE_COST * model.entry_weight
-            prio = model.priority(lr, r, first_use)
-            if prio < 0:
-                continue
+            net = benefit + bonus.get(index, 0) - costs[index]
+            if save_obligation and callee_mask & bit and not used_mask & bit:
+                net -= entry_save
+            if net < 0:
+                continue  # negative priority: memory is cheaper
             in_subtree = (
-                1 if options.prefer_subtree_reg
-                and ((subtree_used_mask | used_mask) & (1 << r.index))
+                1 if prefer_subtree and (subtree_used_mask | used_mask) & bit
                 else 0
             )
-            already_used = 1 if used_mask & (1 << r.index) else 0
-            key = (prio, in_subtree, already_used, -r.index, r)
-            if best is None or key[:4] > best[:4]:
-                best = key
+            already_used = 1 if used_mask & bit else 0
+            key = (net / span, in_subtree, already_used, -index)
+            if best_key is None or key > best_key:
+                best_key = key
+                best = r
         if best is None:
             continue  # memory-resident
-        reg = best[4]
-        result.assignment[v] = reg
-        used_mask |= 1 << reg.index
+        assignment[v] = best
+        used_mask |= 1 << best.index
 
     result.own_assigned_mask = used_mask
     return result
