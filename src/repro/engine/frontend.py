@@ -36,7 +36,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.engine.fingerprint import text_digest
+from repro.engine.fingerprint import function_fingerprint, text_digest
 from repro.store.store import NS_FRONTEND as _NS_FRONTEND
 from repro.frontend import analyze, parse
 from repro.frontend import ast_nodes as ast
@@ -260,6 +260,10 @@ class FrontendCache:
             self._functions[fkey] = entry
             entries[chunk.name] = entry
             if self._store is not None:
+                # memoise the content fingerprint on ``fn`` first, so the
+                # stored copy carries it and a warm process does not
+                # re-encode the function to build its plan key
+                function_fingerprint(fn)
                 self._store.put(_NS_FRONTEND, fkey, entry)
         if optimize and missing:
             verify_module(lowered)
