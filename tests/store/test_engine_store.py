@@ -46,6 +46,20 @@ def test_fresh_session_warm_start(tmp_path):
     assert p_warm.run().output == p_cold.run().output
 
 
+def test_restored_functions_carry_their_true_fingerprint(tmp_path):
+    """Front-end entries are stored with their fingerprint memoised; a warm
+    process must see exactly what a fresh structural walk computes."""
+    from repro.engine import fingerprint
+
+    Engine(O3_SW, store_path=tmp_path).compile(SRC)
+    program = Engine(O3_SW, store_path=tmp_path).compile(SRC)
+    assert set(program.ir.functions) == {"leaf", "mid", "main"}
+    for fn in program.ir.functions.values():
+        stored = getattr(fn, fingerprint._FP_ATTR)
+        delattr(fn, fingerprint._FP_ATTR)
+        assert stored == fingerprint.function_fingerprint(fn)
+
+
 def test_warm_plans_are_stubs_with_paired_artifacts(tmp_path):
     Engine(O3_SW, store_path=tmp_path).compile(SRC)
     warm = Engine(O3_SW, store_path=tmp_path)
