@@ -22,15 +22,27 @@ import sys
 from pathlib import Path
 from typing import List
 
+from repro.frontend.errors import OptionsError
 from repro.ir.printer import format_module
 from repro.pipeline import compile_program, CompilerOptions
+from repro.pipeline.options import validate_options
 from repro.sim import SIM_TIERS
 from repro.target.codegen import generate_function
-from repro.target.registers import (
-    callee_only_file,
-    caller_only_file,
-    convention_from_register_file,
-)
+from repro.target.registers import CALLEE_SAVED, CALLER_SAVED, Convention
+
+
+def _register_count(limit: int):
+    """argparse type for ``--callers`` / ``--callees``: an int in
+    ``0..limit`` (a negative or oversized count would silently slice the
+    wrong registers)."""
+    def count(text: str) -> int:
+        n = int(text)
+        if not 0 <= n <= limit:
+            raise argparse.ArgumentTypeError(
+                f"must be in 0..{limit}, got {n}"
+            )
+        return n
+    return count
 
 
 def _options(args: argparse.Namespace) -> CompilerOptions:
@@ -42,14 +54,16 @@ def _options(args: argparse.Namespace) -> CompilerOptions:
         ipra_globals=args.ipra_globals,
     )
     if args.callers is not None:
-        opts = opts.with_(convention=convention_from_register_file(
-            caller_only_file(args.callers)
+        opts = opts.with_(convention=Convention(
+            allocatable=CALLER_SAVED[:args.callers],
+            name=f"caller-only-{args.callers}",
         ))
     if args.callees is not None:
-        opts = opts.with_(convention=convention_from_register_file(
-            callee_only_file(args.callees)
+        opts = opts.with_(convention=Convention(
+            allocatable=CALLEE_SAVED[:args.callees],
+            name=f"callee-only-{args.callees}",
         ))
-    return opts
+    return validate_options(opts)
 
 
 def _sources(paths: List[str]):
@@ -76,9 +90,11 @@ def main(argv: List[str] = None) -> int:
                         choices=[0, 1, 2, 3])
     parser.add_argument("--shrink-wrap", action="store_true")
     parser.add_argument("--no-combine", action="store_true")
-    parser.add_argument("--callers", type=int, default=None,
+    parser.add_argument("--callers", type=_register_count(len(CALLER_SAVED)),
+                        default=None, metavar="N",
                         help="restrict to N caller-saved registers")
-    parser.add_argument("--callees", type=int, default=None,
+    parser.add_argument("--callees", type=_register_count(len(CALLEE_SAVED)),
+                        default=None, metavar="N",
                         help="restrict to N callee-saved registers")
     parser.add_argument("--ipra-globals", action="store_true")
     parser.add_argument("--check", action="store_true",
@@ -87,8 +103,12 @@ def main(argv: List[str] = None) -> int:
     parser.add_argument("--sim-tier", default="auto", choices=SIM_TIERS,
                         help="simulator tier (default: auto)")
     args = parser.parse_args(argv)
+    try:
+        options = _options(args)
+    except OptionsError as exc:
+        parser.error(str(exc))
 
-    prog = compile_program(_sources(args.files), _options(args))
+    prog = compile_program(_sources(args.files), options)
 
     if args.command == "ir":
         print(format_module(prog.ir))

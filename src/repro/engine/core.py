@@ -30,20 +30,18 @@ are merged depth-by-depth onto one schedule, so procedures from
 different requests plan concurrently and identical procedures
 deduplicate through the shared caches.
 
-The plan and codegen caches are :class:`GuardedCache` instances: every
-entry carries a content checksum recomputed on lookup, so a corrupted
-entry (bit rot, or an injected ``corrupt`` fault) is detected,
-invalidated and recomputed instead of silently miscompiling.
-
 With ``store_path=...`` the engine adds a second, *persistent* level
 below the in-memory caches: a sharded content-addressed
 :class:`~repro.store.ArtifactStore` shared across sessions and
-processes.  Lookups fall through memory to disk and write through on a
-miss, so a brand-new process warm-starts from another process's work.
+processes.  Store blobs are checksummed, because bytes that cross a
+process boundary can rot; the in-memory caches are plain dicts.
+Lookups fall through memory to disk and write through on a miss, so a
+brand-new process warm-starts from another process's work.
 A plan restored from disk is a :class:`~repro.store.StoredPlan` stub --
 the full ``FnPlan`` cannot cross processes -- and is only ever accepted
 together with its matching codegen artifact; if that pairing breaks
-mid-session (eviction, corruption), the compile restarts with the
+mid-session (eviction, corruption, or the stub's procedure reappearing
+in a program with other array symbols), the compile restarts with the
 affected procedure pinned to a full from-scratch plan
 (:class:`_ReplanWithoutStore`), which keeps every store failure mode
 invisible in the output.
@@ -75,11 +73,7 @@ from repro.engine.invalidation import (
     effective_summaries,
     plan_key,
 )
-from repro.engine.resilience import (
-    CompileReport,
-    GuardedCache,
-    ResiliencePolicy,
-)
+from repro.engine.resilience import CompileReport, ResiliencePolicy
 from repro.engine.scheduler import default_workers, run_levels, scc_levels
 from repro.engine.stats import CompileRecord, EngineStats
 from repro.frontend.errors import OptionsError
@@ -124,37 +118,6 @@ def normalize_sources(
         else:
             named.append((f"module{i}" if i else "main", src))
     return named
-
-
-# -- cache content checksums -------------------------------------------------
-
-def _plan_fingerprint(plan: FnPlan) -> Tuple:
-    """Cheap content checksum over the fields downstream stages consume."""
-    s = plan.summary
-    return (
-        plan.name,
-        plan.mode,
-        plan.saved_mask,
-        tuple(sorted(plan.wrapped)),
-        tuple(r.index for r in plan.entry_exit_saves),
-        tuple(
-            (p.pos, None if p.reg is None else p.reg.index, p.dead)
-            for p in plan.incoming_params
-        ),
-        None if s is None else (s.closed, s.used_mask, s.saved_locally_mask),
-    )
-
-
-def _codegen_fingerprint(entry: Tuple[AsmFunction, int]) -> Tuple:
-    asm, preserved = entry
-    instrs = asm.instrs
-    return (
-        asm.name,
-        len(instrs),
-        preserved,
-        instrs[0].render() if instrs else None,
-        instrs[-1].render() if instrs else None,
-    )
 
 
 # -- the open-demotion ladder ------------------------------------------------
@@ -223,9 +186,10 @@ class _DemoteAtCodegen(Exception):
 
 
 class _ReplanWithoutStore(Exception):
-    """Internal: a store-restored plan stub lost its paired codegen
-    artifact (evicted or corrupted mid-session); replan the procedure
-    from scratch, bypassing the store for it this compile."""
+    """Internal: a store-restored plan stub has no codegen artifact for
+    this compile (evicted or corrupted mid-session, or the program's
+    array symbols changed the codegen key); replan the procedure from
+    scratch, bypassing the store for it this compile."""
 
     def __init__(self, name: str):
         self.name = name
@@ -288,11 +252,12 @@ class Engine:
         self.store = open_store(store_path)
         self.stats = EngineStats()
         self._frontend = FrontendCache(store=self.store)
-        self._plans: GuardedCache = GuardedCache(_plan_fingerprint)
-        self._codegen: GuardedCache = GuardedCache(_codegen_fingerprint)
+        self._plans: Dict[PlanKey, Union[FnPlan, StoredPlan]] = {}
+        self._codegen: Dict[Tuple, Tuple[AsmFunction, int]] = {}
         self._last_keys: Optional[Dict[str, PlanKey]] = None
-        self._corruptions_reported = 0
-        self._store_seen = (0, 0, 0.0)
+        # store counters are cumulative per handle, and a handle may be
+        # shared with another engine: records take deltas from here
+        self._store_seen = self._store_counters()
 
     # -- public API ---------------------------------------------------------
 
@@ -504,18 +469,17 @@ class Engine:
     def _finish_record(
         self, record: CompileRecord, report: Optional[CompileReport]
     ) -> None:
-        total = self._plans.corruptions + self._codegen.corruptions
-        record.cache_corruptions = total - self._corruptions_reported
-        self._corruptions_reported = total
         if self.store is not None:
-            st = self.store.stats
+            now = self._store_counters()
+            hits, misses, seconds, corruptions = (
+                n - seen for n, seen in zip(now, self._store_seen)
+            )
+            self._store_seen = now
             stage = record.stages["store"]
-            hits, misses, seconds = self._store_seen
-            stage.hits += st.hits - hits
-            stage.misses += st.misses - misses
-            stage.seconds += st.seconds - seconds
-            self._store_seen = (st.hits, st.misses, st.seconds)
-            record.cache_corruptions += st.corruptions
+            stage.hits += hits
+            stage.misses += misses
+            stage.seconds += seconds
+            record.cache_corruptions = corruptions
         if report is not None:
             report.cache_corruptions += record.cache_corruptions
             record.degraded = len(report.degradations)
@@ -523,6 +487,12 @@ class Engine:
         record.total_seconds = sum(
             s.seconds for s in record.stages.values()
         )
+
+    def _store_counters(self) -> Optional[Tuple]:
+        if self.store is None:
+            return None
+        st = self.store.stats
+        return (st.hits, st.misses, st.seconds, st.corruptions)
 
     def _drain_frontend_counters(self, record: CompileRecord) -> None:
         fe = self._frontend
@@ -576,7 +546,7 @@ class Engine:
                         program, plan, keys, record, report, no_store
                     )
             except _ReplanWithoutStore as replan:
-                self._plans.drop(keys[replan.name])
+                self._plans.pop(keys[replan.name], None)
                 no_store.add(replan.name)
                 continue
             except _DemoteAtCodegen as demote:
@@ -668,8 +638,6 @@ class Engine:
             return (_DEMOTED, name, level), plan, False
         allowed = ctx.allowed_map.get(name)
         key = plan_key(fn, ctx.popts, ctx.arities, is_open, eff, allowed)
-        if faults.corrupts(faults.SITE_CACHE_PLAN, name):
-            self._plans.corrupt(key)
         plan = self._plans.get(key)
         hit = plan is not None
         if not hit and self.store is not None and name not in ctx.no_store:
@@ -691,7 +659,7 @@ class Engine:
                 )
                 ctx.demoted[name] = level
                 return (_DEMOTED, name, level), plan, False
-            self._plans.put(key, plan)
+            self._plans[key] = plan
             if self.store is not None and name not in ctx.no_store:
                 self.store.put(NS_PLAN, key, StoredPlan.from_plan(plan))
         if plan.summary is not None and plan.summary.closed:
@@ -707,12 +675,12 @@ class Engine:
         if not isinstance(stub, StoredPlan):
             return None
         ckey = (key, arrays_fp)
-        if self._codegen.get(ckey) is None:
+        if ckey not in self._codegen:
             entry = self.store.get(NS_CODEGEN, ckey)
             if not (isinstance(entry, tuple) and len(entry) == 2):
                 return None
-            self._codegen.put(ckey, entry)
-        self._plans.put(key, stub)
+            self._codegen[ckey] = entry
+        self._plans[key] = stub
         return stub
 
     def _plan(
@@ -809,14 +777,12 @@ class Engine:
                 cached = None
             else:
                 ckey = (key, arrays_fp)
-                if faults.corrupts(faults.SITE_CACHE_CODEGEN, name):
-                    self._codegen.corrupt(ckey)
                 cached = self._codegen.get(ckey)
                 if cached is None and self.store is not None \
                         and name not in no_store:
                     entry = self.store.get(NS_CODEGEN, ckey)
                     if isinstance(entry, tuple) and len(entry) == 2:
-                        self._codegen.put(ckey, entry)
+                        self._codegen[ckey] = entry
                         cached = entry
             if cached is not None:
                 stage.hits += 1
@@ -847,7 +813,7 @@ class Engine:
                     raise _DemoteAtCodegen(name, next_level) from exc
                 preserved = _preserved_mask(fnplan)
                 if not demoted_level:
-                    self._codegen.put(ckey, (asm, preserved))
+                    self._codegen[ckey] = (asm, preserved)
                     if self.store is not None and name not in no_store:
                         self.store.put(NS_CODEGEN, ckey, (asm, preserved))
             obj.functions[name] = asm

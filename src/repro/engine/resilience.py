@@ -68,7 +68,8 @@ class CompileReport:
     degradations: List[DegradationRecord] = field(default_factory=list)
     #: planner tasks re-run after a worker timeout or failure
     retries: int = 0
-    #: cache entries detected corrupt, invalidated and recomputed
+    #: store entries found corrupt (and quarantined) since the previous
+    #: compile of this engine
     cache_corruptions: int = 0
     #: JIT translations that fell back to the interpreter tier
     jit_fallbacks: int = 0
@@ -119,66 +120,3 @@ class ResiliencePolicy:
             raise ValueError("max_retries must be >= 0")
         if self.backoff_seconds < 0:
             raise ValueError("backoff_seconds must be >= 0")
-
-
-class GuardedCache:
-    """A dict cache whose entries carry content checksums.
-
-    ``fingerprint(value)`` must be a cheap pure function over the fields
-    that matter; a lookup recomputes it and treats any mismatch (or any
-    exception while fingerprinting a rotted object) as corruption: the
-    entry is dropped, ``corruptions`` incremented, and the caller simply
-    sees a miss -- detect, invalidate, retry.
-    """
-
-    def __init__(self, fingerprint):
-        self._fingerprint = fingerprint
-        self._data: Dict = {}
-        self.corruptions = 0
-
-    def get(self, key):
-        entry = self._data.get(key)
-        if entry is None:
-            return None
-        value, fp = entry
-        try:
-            ok = self._fingerprint(value) == fp
-        except Exception:
-            ok = False
-        if not ok:
-            del self._data[key]
-            self.corruptions += 1
-            return None
-        return value
-
-    def put(self, key, value) -> None:
-        self._data[key] = (value, self._fingerprint(value))
-
-    def drop(self, key) -> None:
-        """Evict the entry under ``key`` (used when the engine must not
-        re-hit a store-restored stub during a replan restart)."""
-        self._data.pop(key, None)
-
-    def corrupt(self, key) -> bool:
-        """Fault-injection hook: bit-rot the entry under ``key``."""
-        if key in self._data:
-            _, fp = self._data[key]
-            self._data[key] = (_ROTTED, fp)
-            return True
-        return False
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key) -> bool:
-        return key in self._data
-
-
-class _Rotted:
-    """Sentinel standing in for a bit-rotted cache value."""
-
-    def __repr__(self):  # pragma: no cover - debug aid
-        return "<rotted cache entry>"
-
-
-_ROTTED = _Rotted()

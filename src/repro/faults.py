@@ -2,7 +2,7 @@
 
 A :class:`FaultPlan` is an explicit, seedable list of faults to inject
 at named *sites* threaded through the toolchain (planning, coloring,
-shrink-wrapping, codegen, cache lookups, pool workers, JIT
+shrink-wrapping, codegen, pool workers, JIT
 translation, suite workers, and the on-disk artifact store's reads,
 writes and lock acquisitions).  Components consult the harness with
 
@@ -19,8 +19,9 @@ the failure modes the resilience layer must absorb:
     the site sleeps ``hang_seconds`` (a stuck stage or worker -- pair
     with the watchdog timeouts to exercise the timeout/retry path);
 ``corrupt``
-    a cache site bit-rots a stored entry (consumed via
-    :func:`corrupts`; the checksummed caches must detect and retry);
+    the store's read site bit-rots an entry's payload (consumed via
+    :func:`corrupts`; the checksummed store must detect, quarantine and
+    recompute);
 ``kill``
     a pool *worker process* dies with ``os._exit`` (the parent sees a
     ``BrokenProcessPool``).  Outside a worker process the kind is a
@@ -60,8 +61,6 @@ __all__ = [
     "current_plan",
     "install",
     "worker_context",
-    "SITE_CACHE_CODEGEN",
-    "SITE_CACHE_PLAN",
     "SITE_CODEGEN",
     "SITE_COLORING",
     "SITE_JIT",
@@ -82,8 +81,6 @@ __all__ = [
 
 SITE_PLAN = "plan"                   # engine/core: per-procedure planning
 SITE_CODEGEN = "codegen"             # engine/core: per-procedure codegen
-SITE_CACHE_PLAN = "cache-plan"       # engine/core: plan cache entries
-SITE_CACHE_CODEGEN = "cache-codegen"  # engine/core: codegen cache entries
 SITE_COLORING = "coloring"           # regalloc/coloring: allocate_function
 SITE_SHRINKWRAP = "shrinkwrap"       # shrinkwrap/placement: shrink_wrap
 SITE_WORKER = "worker"               # engine/scheduler: planner pool task
@@ -104,8 +101,6 @@ SITE_SERVICE_QUEUE = "service-queue"  # service: request admission control
 ALL_SITES: Tuple[str, ...] = (
     SITE_PLAN,
     SITE_CODEGEN,
-    SITE_CACHE_PLAN,
-    SITE_CACHE_CODEGEN,
     SITE_COLORING,
     SITE_SHRINKWRAP,
     SITE_WORKER,
@@ -320,7 +315,7 @@ def check(site: str, key: Optional[str] = None) -> None:
 
 
 def corrupts(site: str, key: Optional[str] = None) -> bool:
-    """True when an armed ``corrupt`` spec matches this cache site; the
+    """True when an armed ``corrupt`` spec matches this site; the
     caller is then responsible for bit-rotting its stored entry."""
     if _ACTIVE is None:
         return False

@@ -49,9 +49,7 @@ from repro.target.registers import (
     Convention,
     DEFAULT_CONVENTION,
     Register,
-    RegisterFile,
     V0,
-    convention_from_register_file,
     registers_in_mask,
 )
 
@@ -60,13 +58,9 @@ from repro.target.registers import (
 class PlanOptions:
     """Knobs of the allocation strategy (see ``repro.pipeline.options``).
 
-    ``convention`` is the calling convention in force; ``register_file``
-    is the deprecated alias (a file becomes the same convention with a
-    restricted allocatable pool) and always reflects the convention's
-    allocatable view after init.
+    ``convention`` is the calling convention in force.
     """
 
-    register_file: Optional[RegisterFile] = None
     ipra: bool = False
     shrink_wrap: bool = False
     combine: bool = True            # Section 6 propagate-vs-wrap strategy
@@ -79,17 +73,7 @@ class PlanOptions:
     #: mod/ref extension: register-cache globals across calls whose
     #: subtrees provably never touch them
     ipra_globals: bool = False
-    convention: Optional[Convention] = None
-
-    def __post_init__(self) -> None:
-        if self.convention is None:
-            if self.register_file is None:
-                self.convention = DEFAULT_CONVENTION
-            else:
-                self.convention = convention_from_register_file(
-                    self.register_file
-                )
-        self.register_file = self.convention.register_file
+    convention: Convention = DEFAULT_CONVENTION
 
 
 @dataclass
@@ -206,7 +190,7 @@ def plan_function(
     allowed_globals: Optional[Set[str]] = None,
 ) -> FnPlan:
     """Allocate one procedure and fix its save/restore strategy."""
-    convention = options.convention or DEFAULT_CONVENTION
+    convention = options.convention
     env = AllocEnv(
         convention=convention,
         ipra=options.ipra,

@@ -21,12 +21,7 @@ from repro.interproc.summaries import (
 )
 from repro.ir.instructions import Call, CallInd, IRInstr
 from repro.ir.values import VReg
-from repro.target.registers import (
-    Convention,
-    RegisterFile,
-    V0,
-    convention_from_register_file,
-)
+from repro.target.registers import Convention, V0
 
 
 @dataclass
@@ -34,9 +29,7 @@ class AllocEnv:
     """Environment for allocating one procedure.
 
     ``convention`` is the calling convention in force (save classes,
-    argument registers, allocatable pool); ``register_file`` is accepted
-    as a deprecated construction alias and always reflects the
-    convention's allocatable view after init.  ``summaries`` holds the
+    argument registers, allocatable pool).  ``summaries`` holds the
     summaries of every already-processed procedure (empty under
     intra-procedural allocation).  ``arities`` maps every known
     procedure name to its parameter count (needed to fabricate default
@@ -45,26 +38,11 @@ class AllocEnv:
     callee-saved registers carry the default save-at-entry obligation.
     """
 
-    convention: Optional[Convention] = None
+    convention: Convention
     ipra: bool = False
     proc_is_open: bool = True
     summaries: Dict[str, ProcSummary] = field(default_factory=dict)
     arities: Dict[str, int] = field(default_factory=dict)
-    #: deprecated alias: a RegisterFile here becomes the convention's
-    #: allocatable pool under the paper's fixed linkage
-    register_file: Optional[RegisterFile] = None
-
-    def __post_init__(self) -> None:
-        if self.convention is None:
-            if self.register_file is None:
-                raise TypeError(
-                    "AllocEnv needs a convention (or the deprecated "
-                    "register_file alias)"
-                )
-            self.convention = convention_from_register_file(
-                self.register_file
-            )
-        self.register_file = self.convention.register_file
 
     def callee_summary(self, instr: IRInstr) -> ProcSummary:
         """The summary in force for a call instruction."""
@@ -102,16 +80,9 @@ class AllocEnv:
 
 
 def intra_env(
-    file_or_convention, arities: Optional[Dict[str, int]] = None
+    convention: Convention, arities: Optional[Dict[str, int]] = None
 ) -> AllocEnv:
-    """Environment for plain intra-procedural (paper -O2) allocation.
-    Accepts a :class:`Convention` or (deprecated) a :class:`RegisterFile`.
-    """
-    convention = (
-        file_or_convention
-        if isinstance(file_or_convention, Convention)
-        else convention_from_register_file(file_or_convention)
-    )
+    """Environment for plain intra-procedural (paper -O2) allocation."""
     return AllocEnv(
         convention=convention,
         ipra=False,

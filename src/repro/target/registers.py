@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Register",
-    "RegisterFile",
     "Convention",
     "ConventionError",
     "ALL_REGISTERS",
@@ -41,7 +40,6 @@ __all__ = [
     "DEFAULT_CLOBBER_MASK",
     "DEFAULT_CONVENTION",
     "DEFAULT_LADDER",
-    "FULL_FILE",
     "LADDER_TAGS",
     "NUM_PARAM_REGS",
     "NUM_REGISTERS",
@@ -55,9 +53,6 @@ __all__ = [
     "RA",
     "reg",
     "registers_in_mask",
-    "caller_only_file",
-    "callee_only_file",
-    "convention_from_register_file",
     "split_convention",
     "validate_convention",
 ]
@@ -181,44 +176,6 @@ def registers_in_mask(mask: int) -> Tuple[Register, ...]:
 
 
 # ---------------------------------------------------------------------------
-# register files (what the allocator is allowed to hand out)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RegisterFile:
-    """An ordered set of allocatable registers, plus its bitmask."""
-
-    allocatable: Tuple[Register, ...]
-    mask: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mask", _mask_of(self.allocatable))
-
-    def __len__(self) -> int:
-        return len(self.allocatable)
-
-    def __iter__(self):
-        return iter(self.allocatable)
-
-    def __contains__(self, r: Register) -> bool:
-        return bool(self.mask >> r.index & 1)
-
-
-FULL_FILE = RegisterFile(ALLOCATABLE)
-
-
-def caller_only_file(n: int = len(CALLER_SAVED)) -> RegisterFile:
-    """A file of the first ``n`` caller-saved registers (paper config D)."""
-    return RegisterFile(CALLER_SAVED[:n])
-
-
-def callee_only_file(n: int = len(CALLEE_SAVED)) -> RegisterFile:
-    """A file of the first ``n`` callee-saved registers (paper config E)."""
-    return RegisterFile(CALLEE_SAVED[:n])
-
-
-# ---------------------------------------------------------------------------
 # calling conventions (first-class; the autotuner's search space)
 # ---------------------------------------------------------------------------
 
@@ -281,11 +238,6 @@ class Convention:
         default linkage may destroy: every caller-saved register plus
         the return-value register."""
         return self.caller_mask | V0.mask
-
-    @property
-    def register_file(self) -> RegisterFile:
-        """The deprecated :class:`RegisterFile` view of ``allocatable``."""
-        return RegisterFile(self.allocatable)
 
     def is_caller_saved(self, r: Register) -> bool:
         return bool(self.caller_mask >> r.index & 1)
@@ -433,27 +385,6 @@ CALLER_ONLY_7 = validate_convention(
 CALLEE_ONLY_7 = validate_convention(
     Convention(allocatable=CALLEE_SAVED[:7], name="callee-only-7")
 )
-
-
-def convention_from_register_file(
-    rf: RegisterFile, name: Optional[str] = None
-) -> Convention:
-    """Adapt a deprecated :class:`RegisterFile` to the Convention API:
-    the paper's fixed linkage agreement, allocation restricted to the
-    file's registers.  ``caller_only_file(7)`` / ``callee_only_file(7)``
-    map onto the :data:`CALLER_ONLY_7` / :data:`CALLEE_ONLY_7` presets.
-    """
-    if name is None:
-        name = f"file-{len(rf.allocatable)}"
-        if rf.allocatable == DEFAULT_CONVENTION.allocatable:
-            name = DEFAULT_CONVENTION.name
-        elif rf.allocatable == CALLER_ONLY_7.allocatable:
-            name = CALLER_ONLY_7.name
-        elif rf.allocatable == CALLEE_ONLY_7.allocatable:
-            name = CALLEE_ONLY_7.name
-    return validate_convention(
-        Convention(allocatable=tuple(rf.allocatable), name=name)
-    )
 
 
 def split_convention(

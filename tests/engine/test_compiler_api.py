@@ -10,7 +10,9 @@ from repro.pipeline.driver import (
     compile_program,
     link_modules,
 )
-from repro.target.registers import RegisterFile
+from repro.target.registers import DEFAULT_CONVENTION
+
+NO_REGISTERS = DEFAULT_CONVENTION.with_allocatable(())
 
 SRC = "func main() { print 41 + 1; }"
 
@@ -74,7 +76,7 @@ def test_set_options_validates_and_chains():
         CompilerOptions(opt_level=5),
         CompilerOptions(opt_level=-1),
         CompilerOptions(opt_level=True),
-        CompilerOptions(opt_level=2, register_file=RegisterFile(())),
+        CompilerOptions(opt_level=2, convention=NO_REGISTERS),
         CompilerOptions(entry=""),
         CompilerOptions(entry=42),
         CompilerOptions(block_weights={"f": {"b": -1}}),
@@ -87,8 +89,8 @@ def test_bad_options_rejected_at_construction(options):
         Compiler(options)
 
 
-def test_empty_register_file_fine_below_o2():
-    c = Compiler(CompilerOptions(opt_level=1, register_file=RegisterFile(())))
+def test_empty_allocatable_pool_fine_below_o2():
+    c = Compiler(CompilerOptions(opt_level=1, convention=NO_REGISTERS))
     assert c.add_source(SRC).run().output == [42]
 
 

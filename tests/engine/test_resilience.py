@@ -13,7 +13,6 @@ import pytest
 from repro import faults
 from repro.engine.resilience import (
     CompileReport,
-    GuardedCache,
     ResiliencePolicy,
 )
 from repro.engine.session import Compiler
@@ -141,25 +140,6 @@ def test_demotion_exhaustion_reraises_the_original_error():
             session.compile()
 
 
-def test_cache_corruption_is_detected_and_recomputed():
-    session = Compiler(O3_SW, resilient=True).add_sources(SRC)
-    session.compile()
-    plan = faults.FaultPlan(specs=[
-        faults.FaultSpec(site=faults.SITE_CACHE_PLAN, kind="corrupt",
-                         match="leaf"),
-        faults.FaultSpec(site=faults.SITE_CACHE_CODEGEN, kind="corrupt",
-                         match="mid"),
-    ])
-    with faults.active(plan):
-        rebuilt = session.compile()
-    assert rebuilt.report.cache_corruptions == 2
-    assert not rebuilt.report.degradations
-    assert snap(rebuilt.executable) == snap(reference().executable)
-    # per-compile record carries the same counter
-    assert session.stats.records[-1].cache_corruptions == 2
-    assert session.stats.fault_totals()["cache_corruptions"] == 2
-
-
 def test_worker_fault_is_retried_inline():
     plan = faults.FaultPlan(
         specs=[faults.FaultSpec(site=faults.SITE_WORKER, match="mid")]
@@ -195,19 +175,6 @@ def test_degradations_surface_in_engine_stats():
     totals = session.stats.fault_totals()
     assert totals["degraded"] == 1
     assert "faults" in session.stats.to_dict()
-
-
-def test_guarded_cache_detects_corruption():
-    cache = GuardedCache(lambda v: v * 2)
-    cache.put("k", 21)
-    assert cache.get("k") == 21
-    assert cache.corrupt("k")
-    assert cache.get("k") is None       # detected, invalidated
-    assert cache.corruptions == 1
-    assert "k" not in cache
-    cache.put("k", 21)                  # retry repopulates cleanly
-    assert cache.get("k") == 21
-    assert not cache.corrupt("missing")
 
 
 def test_report_dedups_by_procedure_and_stage():

@@ -6,14 +6,14 @@ from repro.interproc import PlanOptions, plan_program
 from repro.target.registers import (
     CALLEE_SAVED_MASK,
     DEFAULT_CLOBBER_MASK,
-    FULL_FILE,
+    DEFAULT_CONVENTION,
     registers_in_mask,
     V0,
 )
 
 
 def plan(src, **kwargs):
-    opts = PlanOptions(register_file=FULL_FILE, ipra=True, **kwargs)
+    opts = PlanOptions(convention=DEFAULT_CONVENTION, ipra=True, **kwargs)
     return plan_program(lower_opt(src), opts)
 
 
@@ -180,7 +180,7 @@ def test_without_combining_closed_procs_propagate_everything():
 
 
 def test_intra_mode_has_no_summaries_in_force():
-    opts = PlanOptions(register_file=FULL_FILE, ipra=False)
+    opts = PlanOptions(convention=DEFAULT_CONVENTION, ipra=False)
     p = plan_program(lower_opt(CHAIN), opts)
     for fnplan in p.plans.values():
         assert fnplan.mode == "intra"

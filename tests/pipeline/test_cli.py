@@ -1,10 +1,16 @@
 """CLI smoke tests (python -m repro)."""
 
+import argparse
 from pathlib import Path
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import _options, main
+from repro.target.registers import (
+    CALLEE_ONLY_7,
+    CALLER_ONLY_7,
+    DEFAULT_CONVENTION,
+)
 
 PROGRAMS = Path(__file__).resolve().parents[2] / "examples" / "programs"
 
@@ -62,9 +68,44 @@ def test_register_restriction_flags(capsys, src_file):
     assert main(["run", src_file, "-O", "3", "--shrink-wrap",
                  "--callers", "7", "--check"]) == 0
     assert capsys.readouterr().out.strip() == "42"
-    assert main(["run", src_file, "-O", "3", "--callees", "7",
-                 "--check"]) == 0
+    # the bounds are inclusive
+    for flags in (["--callees", "7"], ["--callers", "11"],
+                  ["--callees", "9"]):
+        assert main(["run", src_file, "-O", "3", *flags, "--check"]) == 0
+        assert capsys.readouterr().out.strip() == "42"
+    # no allocation below -O2, so an empty pool is fine there
+    assert main(["run", src_file, "-O", "1", "--callers", "0"]) == 0
     assert capsys.readouterr().out.strip() == "42"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--callers", "-1"],
+    ["--callers", "50"],
+    ["--callers", "12"],
+    ["--callees", "10"],
+    ["--callers", "0"],     # -O 3 allocates: an empty pool is an error
+])
+def test_bad_register_counts_exit_cleanly(capsys, src_file, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", src_file, "-O", "3", *flags])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "repro: error:" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_register_flags_build_the_paper_presets():
+    def options(callers=None, callees=None):
+        return _options(argparse.Namespace(
+            opt=3, shrink_wrap=True, no_combine=False, entry="main",
+            ipra_globals=False, callers=callers, callees=callees,
+        ))
+
+    assert options(callers=7).convention == CALLER_ONLY_7
+    assert options(callers=7).convention.name == CALLER_ONLY_7.name
+    assert options(callees=7).convention == CALLEE_ONLY_7
+    assert options().convention == DEFAULT_CONVENTION
 
 
 def test_multi_module_cli(capsys, tmp_path):

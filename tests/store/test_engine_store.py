@@ -119,29 +119,76 @@ def test_store_write_failures_are_silent(tmp_path):
         executable_digest(Engine(O3_SW).compile(SRC).executable)
 
 
-def test_broken_pairing_replans_without_store(tmp_path):
+def test_store_corruptions_are_counted_once(tmp_path):
     Engine(O3_SW, store_path=tmp_path).compile(SRC)
-    warm = Engine(O3_SW, store_path=tmp_path)
-    p1 = warm.compile(SRC)
-    assert isinstance(p1.plan.plans["mid"], StoredPlan)
-
-    # break the pairing mid-session: disk artifacts vanish AND the
-    # in-memory codegen entry for one procedure rots
-    for blob in _blobs(warm.store):
-        blob.unlink()
+    warm = Engine(O3_SW, resilient=True, store_path=tmp_path)
     plan = faults.FaultPlan(specs=[
-        faults.FaultSpec(site=faults.SITE_CACHE_CODEGEN, kind="corrupt",
-                         match="mid", count=1),
+        faults.FaultSpec(site=faults.SITE_STORE_READ, kind="corrupt",
+                         count=1),
     ])
     with faults.active(plan):
-        p2 = warm.compile(SRC)
+        warm.compile(SRC)
     assert len(plan.fired) == 1
+    clean = [warm.compile(SRC) for _ in range(2)]
+    assert [r.cache_corruptions for r in warm.stats.records] == [1, 0, 0]
+    assert warm.stats.fault_totals()["cache_corruptions"] == 1
+    assert clean[-1].report.cache_corruptions == 0
+
+
+def test_shared_store_handle_counts_only_this_engines_traffic(tmp_path):
+    cold = Engine(O3_SW, store_path=tmp_path)
+    cold.compile(SRC)
+    assert cold.stats.records[-1].stages["store"].misses > 0
+    # a second engine over the same handle (as the service's fallback
+    # engine is) starts its store deltas from the handle's counters
+    warm = Engine(O3_SW, store_path=cold.store)
+    warm.compile(SRC)
+    rec = warm.stats.records[-1]
+    assert rec.stages["store"].misses == 0
+    assert rec.stages["store"].hits > 0
+
+
+ARRAY_SRC = """
+array a[4];
+func leaf(i) { a[i] = i * 3; return a[i] + 1; }
+func main() { print leaf(2); return 0; }
+"""
+
+# the same `leaf` (same plan key) in a program with one more array, so
+# its codegen key (plan key, program arrays) is new everywhere
+WIDER_SRC = """
+array a[4];
+array b[9];
+func leaf(i) { a[i] = i * 3; return a[i] + 1; }
+func main() { b[1] = leaf(3); print b[1]; return 0; }
+"""
+
+
+def test_broken_pairing_replans_without_store(tmp_path, monkeypatch):
+    from repro.engine import core
+
+    replanned = []
+
+    class Spy(core._ReplanWithoutStore):
+        def __init__(self, name):
+            replanned.append(name)
+            super().__init__(name)
+
+    monkeypatch.setattr(core, "_ReplanWithoutStore", Spy)
+    Engine(O3_SW, store_path=tmp_path).compile(ARRAY_SRC)
+    warm = Engine(O3_SW, store_path=tmp_path)
+    p1 = warm.compile(ARRAY_SRC)
+    assert isinstance(p1.plan.plans["leaf"], StoredPlan)
+
+    # the stub's plan key hits in memory, but its codegen artifact under
+    # the wider program's arrays exists neither in memory nor on disk
+    p2 = warm.compile(WIDER_SRC)
+    assert replanned == ["leaf"]
     # the affected procedure was replanned from scratch...
-    assert isinstance(p2.plan.plans["mid"], FnPlan)
-    assert not isinstance(p2.plan.plans["mid"], StoredPlan)
-    # ...and the output did not change
+    assert isinstance(p2.plan.plans["leaf"], FnPlan)
+    # ...and the output matches a storeless build
     assert executable_digest(p2.executable) == \
-        executable_digest(p1.executable)
+        executable_digest(Engine(O3_SW).compile(WIDER_SRC).executable)
 
 
 def test_pairing_enforced_at_lookup(tmp_path):

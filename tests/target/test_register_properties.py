@@ -10,12 +10,11 @@ from repro.target.registers import (
     CALLEE_SAVED_MASK,
     CALLER_SAVED,
     CALLER_SAVED_MASK,
-    FULL_FILE,
+    Convention,
     NUM_REGISTERS,
-    callee_only_file,
-    caller_only_file,
     reg,
     registers_in_mask,
+    validate_convention,
 )
 
 masks = st.integers(min_value=0, max_value=(1 << NUM_REGISTERS) - 1)
@@ -55,26 +54,24 @@ def test_registers_in_mask_respects_union_and_intersection(a, b):
 def test_caller_callee_partition_full_file():
     # caller-saved and callee-saved partition the allocatable file
     assert CALLER_SAVED_MASK & CALLEE_SAVED_MASK == 0
-    assert CALLER_SAVED_MASK | CALLEE_SAVED_MASK == FULL_FILE.mask
-    assert CALLER_SAVED_MASK | callee_only_file().mask == FULL_FILE.mask
-    assert FULL_FILE.mask == ALLOCATABLE_MASK
+    assert CALLER_SAVED_MASK | CALLEE_SAVED_MASK == ALLOCATABLE_MASK
     assert len(CALLER_SAVED) + len(CALLEE_SAVED) == len(ALLOCATABLE)
 
 
 @given(st.integers(min_value=1, max_value=len(CALLER_SAVED)))
-def test_caller_only_file_is_caller_saved(n):
-    f = caller_only_file(n)
-    assert len(f) == n
-    assert all(r.caller_saved for r in f)
-    assert f.mask & CALLEE_SAVED_MASK == 0
+def test_caller_only_pool_is_caller_saved(n):
+    c = validate_convention(Convention(allocatable=CALLER_SAVED[:n]))
+    assert len(c.allocatable) == n
+    assert all(r.caller_saved for r in c.allocatable)
+    assert c.mask & CALLEE_SAVED_MASK == 0
 
 
 @given(st.integers(min_value=1, max_value=len(CALLEE_SAVED)))
-def test_callee_only_file_is_callee_saved(n):
-    f = callee_only_file(n)
-    assert len(f) == n
-    assert all(r.callee_saved for r in f)
-    assert f.mask & CALLER_SAVED_MASK == 0
+def test_callee_only_pool_is_callee_saved(n):
+    c = validate_convention(Convention(allocatable=CALLEE_SAVED[:n]))
+    assert len(c.allocatable) == n
+    assert all(r.callee_saved for r in c.allocatable)
+    assert c.mask & CALLER_SAVED_MASK == 0
 
 
 def test_reg_lookup_round_trips():
