@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 from typing import List
 
-from repro.frontend.errors import OptionsError
+from repro.frontend.errors import CompileError, OptionsError
 from repro.ir.printer import format_module
 from repro.pipeline import compile_program, CompilerOptions
 from repro.pipeline.options import validate_options
@@ -108,7 +108,14 @@ def main(argv: List[str] = None) -> int:
     except OptionsError as exc:
         parser.error(str(exc))
 
-    prog = compile_program(_sources(args.files), options)
+    try:
+        prog = compile_program(_sources(args.files), options)
+    except CompileError as exc:
+        # one ``file:line:col: message`` line, like a C compiler's
+        where = {Path(p).stem: p for p in args.files}.get(exc.source, "repro")
+        loc = f":{exc.line}:{exc.col}" if exc.line else ""
+        print(f"{where}{loc}: {exc.message}", file=sys.stderr)
+        return 2
 
     if args.command == "ir":
         print(format_module(prog.ir))

@@ -492,7 +492,8 @@ class Engine:
         if self.store is None:
             return None
         st = self.store.stats
-        return (st.hits, st.misses, st.seconds, st.corruptions)
+        # scrub/verify quarantines are maintenance, not this compile's
+        return (st.hits, st.misses, st.seconds, st.read_corruptions)
 
     def _drain_frontend_counters(self, record: CompileRecord) -> None:
         fe = self._frontend

@@ -27,7 +27,9 @@ cold compile's.
 
 The scanner is conservative: any construct it cannot segment confidently
 (unterminated comment, unbalanced braces, a stray quote) falls back to a
-whole-module parse, which also produces the exact diagnostics.
+whole-module parse, which also produces the exact diagnostics; so does
+an error in the reduced source, whose line and column are not the
+user's.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from repro.engine.fingerprint import function_fingerprint, text_digest
 from repro.store.store import NS_FRONTEND as _NS_FRONTEND
 from repro.frontend import analyze, parse
 from repro.frontend import ast_nodes as ast
+from repro.frontend.errors import CompileError
 from repro.ir.function import IRFunction, IRModule
 from repro.ir.lowering import lower_module
 from repro.ir.optimize import optimize_function
@@ -185,11 +188,15 @@ class FrontendCache:
             return module
         self.misses += 1
         split = split_chunks(text)
-        if split is None:
-            module = self._full_front(name, text, optimize)
-            self.fn_misses += len(module.functions)
-        else:
-            module = self._chunked_front(name, split, optimize)
+        try:
+            if split is None:
+                module = self._full_front(name, text, optimize)
+                self.fn_misses += len(module.functions)
+            else:
+                module = self._chunked_front(name, text, split, optimize)
+        except CompileError as exc:
+            exc.source = name
+            raise
         self._modules[key] = module
         return module
 
@@ -205,7 +212,8 @@ class FrontendCache:
         return module
 
     def _chunked_front(
-        self, name: str, split: Tuple[str, List[Chunk]], optimize: bool
+        self, name: str, text: str, split: Tuple[str, List[Chunk]],
+        optimize: bool,
     ) -> IRModule:
         header_text, chunks = split
         symtab = text_digest(
@@ -240,9 +248,16 @@ class FrontendCache:
             ]
             + ["\n" + c.text for c in missing]
         )
-        ast_module = parse(reduced, name)
-        minfo = analyze(ast_module)
-        lowered = lower_module(minfo)
+        try:
+            ast_module = parse(reduced, name)
+            lowered = lower_module(analyze(ast_module))
+        except CompileError:
+            # report the whole source's error, at the user's line:col
+            try:
+                self._full_front(name, text, optimize)
+            except CompileError as whole:
+                raise whole from None
+            raise
         verify_module(lowered)
 
         decl_by_name = {f.name: f for f in ast_module.functions}

@@ -68,7 +68,7 @@ class CompileRecord:
     #: resilience counters (see :mod:`repro.engine.resilience`)
     degraded: int = 0            # procedures demoted to the open convention
     retries: int = 0             # planner tasks re-run after worker faults
-    cache_corruptions: int = 0   # store entries found corrupt since last record
+    cache_corruptions: int = 0   # corrupt store entries read since last record
 
     def to_dict(self) -> Dict:
         return {

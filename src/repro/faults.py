@@ -95,7 +95,9 @@ SITE_STORE_WRITE = "store-write"     # store: entry write (raise = I/O error;
 SITE_STORE_LOCK = "store-lock"       # store: advisory-lock acquisition
 SITE_STORE_SCRUB = "store-scrub"     # store: scrub per-entry re-verify
 SITE_SERVICE_DEADLINE = "service-deadline"  # service: batch dispatch on the
-#                                      executor (hang = stalled planner)
+#                                      executor (hang = stalled dispatch,
+#                                      raise = crashed dispatch that
+#                                      fails its group once)
 SITE_SERVICE_QUEUE = "service-queue"  # service: request admission control
 
 ALL_SITES: Tuple[str, ...] = (

@@ -6,6 +6,9 @@ from __future__ import annotations
 class CompileError(Exception):
     """Base class for all user-facing compilation errors."""
 
+    #: the source (module name) at fault, set by the engine's front end
+    source = None
+
     def __init__(self, message: str, line: int = 0, col: int = 0):
         self.message = message
         self.line = line

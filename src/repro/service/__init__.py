@@ -1,13 +1,12 @@
 """Async compile service: a batching, deduplicating front end over
-:class:`~repro.engine.core.Engine` with service-grade resilience --
-deadlines, bounded retry, per-fingerprint circuit breakers, admission
-control and graceful drain (see :mod:`repro.service.service`)."""
+:class:`~repro.engine.core.Engine` with deadlines, admission control
+and graceful drain.  A failed request fails once with its own
+exception; ``CompileService(resilient=True)`` has the engine demote a
+crashed procedure instead (see :mod:`repro.service.service`)."""
 
 from repro.service.service import (
-    BreakerPolicy,
     CompileService,
     DeadlineExceeded,
-    RetryPolicy,
     ServiceClosed,
     ServiceError,
     ServiceOverloaded,
@@ -16,10 +15,8 @@ from repro.service.service import (
 )
 
 __all__ = [
-    "BreakerPolicy",
     "CompileService",
     "DeadlineExceeded",
-    "RetryPolicy",
     "ServiceClosed",
     "ServiceError",
     "ServiceOverloaded",

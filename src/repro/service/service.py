@@ -22,8 +22,7 @@ levels onto one schedule: independent procedures from different requests
 plan concurrently and shared procedures deduplicate through the session
 caches.
 
-On top of those sits the **resilience layer** -- the service-grade
-guarantees a front end serving heavy traffic needs:
+Three more guard against a slow request, overload and shutdown:
 
 **Deadlines.**  ``compile(..., deadline=s)`` (or a service-wide
 ``default_deadline``) bounds how long a waiter blocks: expiry raises a
@@ -32,21 +31,6 @@ request whose waiters have all expired is dropped before dispatch, and
 a batch already running stops starting new per-request work
 (:class:`~repro.engine.core.BatchCancelled` via ``should_cancel``) --
 the engine never abandons work mid-procedure, so caches stay coherent.
-
-**Bounded retry.**  Transient failures (anything that is not a
-deterministic :class:`~repro.frontend.errors.CompileError`) are retried
-up to ``RetryPolicy.max_attempts`` times with exponential backoff and
-*deterministic seeded jitter*, so two replicas of the service replaying
-the same log back off identically.
-
-**Circuit breaker.**  ``BreakerPolicy.failure_threshold`` consecutive
-failures of one fingerprint trip its breaker: while open, requests for
-that fingerprint bypass the primary engine entirely and are served
-*degraded* through a resilient fallback engine (the open-convention
-demotion ladder of :mod:`repro.engine.resilience`) -- a conservative
-but sound program beats an error page.  After ``reset_timeout`` the
-next request probes the primary path (half-open); success closes the
-breaker, failure re-opens it.
 
 **Admission control.**  Once the pending queue passes the ``max_queue``
 high-water mark, new requests are shed with a typed
@@ -57,9 +41,16 @@ admitting (:class:`ServiceClosed`), flushes the in-flight groups, and
 -- given a ``deadline`` -- fails the stragglers with
 :class:`DeadlineExceeded` rather than stalling shutdown forever.
 
+**Failures.**  A compile is deterministic, so nothing is retried: a
+failed request fails once, with its own exception, for every waiter of
+its flight.  To have a crash in planning or codegen demote that one
+procedure to the *open* linkage (:mod:`repro.engine.resilience`)
+instead, build the service with ``resilient=True``; the demotion is
+reported in ``result.program.report``.
+
 Fault-injection sites (:mod:`repro.faults`): ``service-deadline``
 consults on the executor thread right before batch dispatch (a ``hang``
-models a stalled planner, a ``raise`` exercises the retry path);
+models a stalled dispatch, a ``raise`` a crashed one);
 ``service-queue`` consults at admission (a ``raise`` sheds the request
 with ``ServiceOverloaded``).
 
@@ -74,17 +65,15 @@ the store's cumulative counters (hits/misses/evictions/corruptions).
 from __future__ import annotations
 
 import asyncio
-import random
 import time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import asdict, dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import faults
 from repro.engine.core import BatchCancelled, Engine, normalize_sources
 from repro.engine.fingerprint import options_fingerprint, request_fingerprint
 from repro.engine.resilience import ResiliencePolicy
 from repro.engine.stats import CompileRecord
-from repro.frontend.errors import CompileError
 from repro.pipeline.driver import CompiledProgram, Source
 from repro.pipeline.options import CompilerOptions, O2, validate_options
 
@@ -109,74 +98,6 @@ class DeadlineExceeded(ServiceError):
     *waiter* gives up."""
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with exponential backoff and seeded jitter.
-
-    A failed request is re-attempted until ``max_attempts`` total
-    attempts are spent; attempt *k* (0-based) backs off
-    ``backoff_base * backoff_multiplier**k`` seconds, stretched by up to
-    ``jitter`` (a fraction) drawn deterministically from ``seed``, the
-    request fingerprint and the attempt number -- reproducible under
-    test and across replicas, yet decorrelated across requests.  Only
-    *transient* failures retry: a deterministic
-    :class:`~repro.frontend.errors.CompileError` (bad source, bad
-    options) would fail identically every time.
-    """
-
-    max_attempts: int = 3
-    backoff_base: float = 0.02
-    backoff_multiplier: float = 2.0
-    jitter: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base < 0 or self.jitter < 0:
-            raise ValueError("backoff_base and jitter must be >= 0")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be >= 1")
-
-    def retryable(self, exc: BaseException) -> bool:
-        return not isinstance(
-            exc, (CompileError, BatchCancelled, ServiceError)
-        )
-
-    def backoff(self, attempt: int, key: str = "") -> float:
-        """Delay before re-attempt ``attempt`` (0-based) of ``key``."""
-        base = self.backoff_base * (self.backoff_multiplier ** attempt)
-        u = random.Random(f"{self.seed}:{key}:{attempt}").random()
-        return base * (1.0 + self.jitter * u)
-
-
-@dataclass(frozen=True)
-class BreakerPolicy:
-    """Per-fingerprint circuit-breaker knobs."""
-
-    #: consecutive primary-path failures that trip the breaker open
-    failure_threshold: int = 3
-    #: seconds an open breaker waits before letting a probe through
-    reset_timeout: float = 30.0
-
-    def __post_init__(self):
-        if self.failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if self.reset_timeout < 0:
-            raise ValueError("reset_timeout must be >= 0")
-
-
-class _Breaker:
-    """One fingerprint's breaker state (exists only after a failure)."""
-
-    __slots__ = ("state", "failures", "opened_at")
-
-    def __init__(self):
-        self.state = "closed"      # closed | open | half-open
-        self.failures = 0
-        self.opened_at = 0.0
-
-
 @dataclass
 class ServiceStats:
     """Cumulative counters for one :class:`CompileService`."""
@@ -187,26 +108,11 @@ class ServiceStats:
     compiled: int = 0        # requests that produced a program
     failed: int = 0          # requests that raised
     shed: int = 0            # requests rejected by admission control
-    retries: int = 0         # engine attempts re-run after transient faults
     deadline_expired: int = 0  # waiters that gave up at their deadline
     cancelled: int = 0       # requests cooperatively cancelled pre-result
-    breaker_trips: int = 0   # circuit breakers tripped open
-    degraded: int = 0        # requests served via the resilient fallback
 
     def to_dict(self) -> Dict[str, int]:
-        return {
-            "requests": self.requests,
-            "deduped": self.deduped,
-            "batches": self.batches,
-            "compiled": self.compiled,
-            "failed": self.failed,
-            "shed": self.shed,
-            "retries": self.retries,
-            "deadline_expired": self.deadline_expired,
-            "cancelled": self.cancelled,
-            "breaker_trips": self.breaker_trips,
-            "degraded": self.degraded,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -217,9 +123,6 @@ class ServiceResult:
     fingerprint: str
     #: True when this request awaited another request's in-flight compile
     deduped: bool = False
-    #: True when an open circuit breaker served this request through the
-    #: resilient fallback engine (conservative, sound, possibly demoted)
-    degraded: bool = False
     #: the engine's per-request record (None when attribution was lost to
     #: a faulted batch -- counts are still in ``Engine.stats``)
     record: Optional[CompileRecord] = None
@@ -259,10 +162,7 @@ class CompileService:
         await service.join(drain=True, deadline=30.0)
 
     All coroutine methods must be called from one event loop; the
-    blocking engine work runs on the loop's default executor.  ``retry``
-    / ``breaker`` default to the module policies; pass ``None`` to
-    disable either mechanism.  ``clock`` injects a monotonic time source
-    (tests use a fake one to step breaker timeouts).
+    blocking engine work runs on the loop's default executor.
     """
 
     def __init__(
@@ -276,10 +176,7 @@ class CompileService:
         batch_window: float = 0.005,
         max_batch: int = 16,
         default_deadline: Optional[float] = None,
-        retry: Optional[RetryPolicy] = RetryPolicy(),
-        breaker: Optional[BreakerPolicy] = BreakerPolicy(),
         max_queue: int = 256,
-        clock: Callable[[], float] = time.monotonic,
     ):
         self.engine = Engine(
             validate_options(options),
@@ -299,18 +196,12 @@ class CompileService:
         self.batch_window = batch_window
         self.max_batch = max_batch
         self.default_deadline = default_deadline
-        self.retry = retry
-        self.breaker = breaker
         self.max_queue = max_queue
         self.stats = ServiceStats()
-        self._clock = clock
         self._closed = False
         self._inflight: Dict[str, _Pending] = {}
         self._pending: List[_Pending] = []
         self._drain_task: Optional[asyncio.Task] = None
-        self._breakers: Dict[str, _Breaker] = {}
-        self._fallback: Optional[Engine] = None
-        self._fallback_lock = asyncio.Lock()
 
     @property
     def store(self):
@@ -326,13 +217,6 @@ class CompileService:
             self.engine.store.stats.to_dict()
             if self.engine.store is not None else None
         )
-
-    def breaker_states(self) -> Dict[str, str]:
-        """Current non-closed breaker states by fingerprint."""
-        return {
-            fp: b.state for fp, b in self._breakers.items()
-            if b.state != "closed"
-        }
 
     # -- the request path ---------------------------------------------------
 
@@ -365,16 +249,13 @@ class CompileService:
         if deadline is None:
             deadline = self.default_deadline
 
-        if self._breaker_is_open(fp):
-            return await self._compile_degraded(named, opts, fp, deadline)
-
         pend = self._inflight.get(fp)
         if pend is not None:
             self.stats.deduped += 1
             if deadline is None:
                 pend.expiry = None  # this waiter never gives up
             elif pend.expiry is not None:
-                pend.expiry = max(pend.expiry, self._clock() + deadline)
+                pend.expiry = max(pend.expiry, time.monotonic() + deadline)
             result = await self._await_result(pend.future, deadline, fp)
             return replace(result, deduped=True)
 
@@ -398,7 +279,7 @@ class CompileService:
         future.add_done_callback(_retrieve_exception)
         pend = _Pending(
             fp, named, opts, options_fingerprint(opts), future,
-            expiry=None if deadline is None else self._clock() + deadline,
+            expiry=None if deadline is None else time.monotonic() + deadline,
         )
         self._inflight[fp] = pend
         self._pending.append(pend)
@@ -489,88 +370,6 @@ class CompileService:
                 f"request {fp[:12]} missed its {deadline:.3f}s deadline"
             ) from None
 
-    # -- circuit breaker ----------------------------------------------------
-
-    def _breaker_is_open(self, fp: str) -> bool:
-        policy = self.breaker
-        if policy is None:
-            return False
-        b = self._breakers.get(fp)
-        if b is None or b.state != "open":
-            return False
-        if self._clock() - b.opened_at >= policy.reset_timeout:
-            b.state = "half-open"  # this request probes the primary path
-            return False
-        return True
-
-    def _breaker_failure(self, fp: str) -> None:
-        policy = self.breaker
-        if policy is None:
-            return
-        b = self._breakers.setdefault(fp, _Breaker())
-        b.failures += 1
-        if b.state == "half-open" \
-                or b.failures >= policy.failure_threshold:
-            if b.state != "open":
-                b.state = "open"
-                self.stats.breaker_trips += 1
-            b.opened_at = self._clock()
-
-    def _breaker_success(self, fp: str) -> None:
-        if self.breaker is not None:
-            self._breakers.pop(fp, None)
-
-    # -- degraded serving ---------------------------------------------------
-
-    def _degraded_engine(self) -> Engine:
-        """The resilient fallback engine behind open breakers: its own
-        in-memory caches (a poisoned primary session must not leak in)
-        but the same persistent store handle."""
-        if self._fallback is None:
-            self._fallback = Engine(
-                self.engine.options,
-                max_workers=self.engine.max_workers,
-                resilient=True,
-                store_path=self.engine.store,
-            )
-        return self._fallback
-
-    async def _compile_degraded(
-        self,
-        named: List[Tuple[str, str]],
-        opts: CompilerOptions,
-        fp: str,
-        deadline: Optional[float],
-    ) -> ServiceResult:
-        self.stats.degraded += 1
-        loop = asyncio.get_running_loop()
-        engine = self._degraded_engine()
-
-        async def locked():
-            # the fallback engine is a session object too: serialise it
-            async with self._fallback_lock:
-                return await loop.run_in_executor(
-                    None, engine.compile, named, opts
-                )
-
-        task = asyncio.ensure_future(locked())
-        task.add_done_callback(_retrieve_exception)
-        try:
-            program = await self._await_result(task, deadline, fp)
-        except DeadlineExceeded:
-            raise
-        except Exception:
-            self.stats.failed += 1
-            raise
-        self.stats.compiled += 1
-        record = (
-            engine.stats.records[-1] if engine.stats.records else None
-        )
-        return ServiceResult(
-            program=program, fingerprint=fp, degraded=True,
-            record=record, store=self.store_counters(),
-        )
-
     # -- the batch path -----------------------------------------------------
 
     async def _drain(self) -> None:
@@ -601,22 +400,31 @@ class CompileService:
             # cooperative cancellation: drop requests whose waiters have
             # all expired before spending any engine time on them
             live: List[_Pending] = []
-            now = self._clock()
+            now = time.monotonic()
             for p in group:
                 if p.expiry is not None and now >= p.expiry:
-                    self._inflight.pop(p.fingerprint, None)
-                    self.stats.cancelled += 1
-                    if not p.future.done():
-                        p.future.set_exception(DeadlineExceeded(
-                            f"request {p.fingerprint[:12]} cancelled "
-                            "before dispatch (every waiter expired)"
-                        ))
+                    self._cancel(p, "before dispatch")
                 else:
                     live.append(p)
             if not live:
                 return
 
-            results = await self._batch_with_retry(live)
+            def all_expired() -> bool:
+                now = time.monotonic()
+                return all(
+                    p.expiry is not None and now >= p.expiry for p in live
+                )
+
+            def dispatch():
+                faults.check(faults.SITE_SERVICE_DEADLINE, None)
+                return engine.compile_batch(
+                    [p.sources for p in live], live[0].options,
+                    should_cancel=all_expired,
+                )
+
+            results = await asyncio.get_running_loop().run_in_executor(
+                None, dispatch
+            )
 
             # per-request records appear in request order when nothing
             # faulted; on a faulted batch attribution is lost and results
@@ -634,20 +442,13 @@ class CompileService:
             for p, res in zip(live, results):
                 self._inflight.pop(p.fingerprint, None)
                 if isinstance(res, BatchCancelled):
-                    self.stats.cancelled += 1
-                    if not p.future.done():
-                        p.future.set_exception(DeadlineExceeded(
-                            f"request {p.fingerprint[:12]} cancelled "
-                            "mid-batch (every waiter expired)"
-                        ))
+                    self._cancel(p, "mid-batch")
                 elif isinstance(res, Exception):
                     self.stats.failed += 1
-                    self._breaker_failure(p.fingerprint)
                     if not p.future.done():
                         p.future.set_exception(res)
                 else:
                     self.stats.compiled += 1
-                    self._breaker_success(p.fingerprint)
                     if not p.future.done():
                         p.future.set_result(ServiceResult(
                             program=res,
@@ -667,7 +468,6 @@ class CompileService:
                 self._inflight.pop(p.fingerprint, None)
                 if not p.future.done():
                     self.stats.failed += 1
-                    self._breaker_failure(p.fingerprint)
                     p.future.set_exception(
                         failure if failure is not None else ServiceError(
                             f"request {p.fingerprint[:12]} was dropped "
@@ -675,65 +475,12 @@ class CompileService:
                         )
                     )
 
-    async def _batch_with_retry(
-        self, group: List[_Pending]
-    ) -> List[Union[CompiledProgram, Exception]]:
-        """Dispatch one group to the engine with the retry policy:
-        whole-batch retry when the dispatch itself raises, then bounded
-        per-request retries for transient per-request failures."""
-        loop = asyncio.get_running_loop()
-        engine = self.engine
-        sources = [p.sources for p in group]
-        opts = group[0].options
-        clock = self._clock
-
-        def all_expired() -> bool:
-            now = clock()
-            return all(
-                p.expiry is not None and now >= p.expiry for p in group
-            )
-
-        def dispatch():
-            faults.check(faults.SITE_SERVICE_DEADLINE, None)
-            return engine.compile_batch(
-                sources, opts, should_cancel=all_expired
-            )
-
-        policy = self.retry
-        attempts = policy.max_attempts if policy is not None else 1
-        attempt = 0
-        while True:
-            try:
-                results = list(await loop.run_in_executor(None, dispatch))
-                break
-            except Exception as exc:
-                attempt += 1
-                if policy is None or attempt >= attempts \
-                        or not policy.retryable(exc):
-                    raise
-                self.stats.retries += 1
-                await asyncio.sleep(
-                    policy.backoff(attempt - 1, group[0].fingerprint)
-                )
-
-        if policy is None:
-            return results
-        for i, p in enumerate(group):
-            tries_used = attempt + 1
-            while isinstance(results[i], Exception) \
-                    and policy.retryable(results[i]) \
-                    and tries_used < attempts:
-                if p.expiry is not None and clock() >= p.expiry:
-                    break  # nobody is waiting: stop burning attempts
-                self.stats.retries += 1
-                await asyncio.sleep(
-                    policy.backoff(tries_used - 1, p.fingerprint)
-                )
-                tries_used += 1
-                try:
-                    results[i] = await loop.run_in_executor(
-                        None, engine.compile, p.sources, opts
-                    )
-                except Exception as exc:
-                    results[i] = exc
-        return results
+    def _cancel(self, p: _Pending, when: str) -> None:
+        """Cooperative cancellation: every waiter of ``p`` has expired."""
+        self._inflight.pop(p.fingerprint, None)
+        self.stats.cancelled += 1
+        if not p.future.done():
+            p.future.set_exception(DeadlineExceeded(
+                f"request {p.fingerprint[:12]} cancelled {when} "
+                "(every waiter expired)"
+            ))

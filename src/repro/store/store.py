@@ -164,6 +164,8 @@ class StoreStats:
     writes: int = 0
     write_failures: int = 0
     corruptions: int = 0
+    #: the share of ``corruptions`` a reader found, not scrub/verify
+    read_corruptions: int = 0
     evictions: int = 0
     #: corrupt entries moved to ``quarantine/`` instead of destroyed
     quarantined: int = 0
@@ -183,6 +185,7 @@ class StoreStats:
             "writes": self.writes,
             "write_failures": self.write_failures,
             "corruptions": self.corruptions,
+            "read_corruptions": self.read_corruptions,
             "evictions": self.evictions,
             "quarantined": self.quarantined,
             "reaped": self.reaped,
@@ -246,6 +249,7 @@ class ArtifactStore:
             self._quarantine(Path(path))
             with self._lock:
                 self.stats.corruptions += 1
+                self.stats.read_corruptions += 1
             self._count("misses", t0)
             return None
         try:
@@ -349,6 +353,7 @@ class ArtifactStore:
         re-``put`` repairs the entry."""
         with self._lock:
             self.stats.corruptions += 1
+            self.stats.read_corruptions += 1
         return self._quarantine(Path(self._path(namespace, key)))
 
     def _quarantine(self, path: Path) -> bool:

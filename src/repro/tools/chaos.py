@@ -42,12 +42,7 @@ from repro.engine.session import Compiler
 from repro.pipeline.driver import _reference_compile_program
 from repro.pipeline.options import PAPER_CONFIGS
 from repro.pipeline.profile import attach_profile, block_profile_of
-from repro.service import (
-    BreakerPolicy,
-    CompileService,
-    RetryPolicy,
-    ServiceOverloaded,
-)
+from repro.service import CompileService, ServiceOverloaded
 from repro.store.store import ArtifactStore, StoreLockTimeout
 
 #: the acceptance stages: one injected failure in each must be survived
@@ -70,6 +65,23 @@ _PROCEDURE_SITES = (faults.SITE_PLAN, faults.SITE_COLORING,
 def _snapshot(exe) -> tuple:
     return ([repr(i) for i in exe.instrs], exe.entry_pc, exe.data_init,
             exe.preserved_masks)
+
+
+def _demotion_violations(name, plan, report, out, ref_out) -> List[str]:
+    """A faulted resilient build must print the reference output and
+    report every procedure a ``raise`` fault hit as degraded."""
+    found = []
+    if out != ref_out:
+        found.append(f"{name}: degraded output {out} != reference {ref_out}")
+    degraded = report.degraded_procedures()
+    for site, key, kind in plan.fired:
+        if site in _PROCEDURE_SITES and kind == "raise" \
+                and key not in degraded:
+            found.append(
+                f"{name}: fault at {site}:{key} fired but {key} "
+                "is not reported degraded"
+            )
+    return found
 
 
 def run_chaos(seed: int, config: str, names: Optional[List[str]] = None,
@@ -103,18 +115,7 @@ def run_chaos(seed: int, config: str, names: Optional[List[str]] = None,
         fired_total += len(plan.fired)
         degraded_total += len(report.degradations)
 
-        if out != ref_out:
-            violations.append(
-                f"{name}: degraded output {out} != reference {ref_out}"
-            )
-        degraded = report.degraded_procedures()
-        for site, key, kind in plan.fired:
-            if site in _PROCEDURE_SITES and kind == "raise" \
-                    and key not in degraded:
-                violations.append(
-                    f"{name}: fault at {site}:{key} fired but {key} "
-                    "is not reported degraded"
-                )
+        violations += _demotion_violations(name, plan, report, out, ref_out)
         if not plan.fired and not report.degradations:
             if _snapshot(built.executable) != _snapshot(reference.executable):
                 violations.append(
@@ -300,27 +301,27 @@ def run_store_chaos(seed: int, config: str,
 def run_service_chaos(seed: int, config: str,
                       names: Optional[List[str]] = None,
                       verbose: bool = True) -> List[str]:
-    """Chaos sweep over the compile service's resilience layer.
+    """Chaos sweep over the compile service's failure paths.
 
-    Four phases, each against fresh :class:`CompileService` instances:
+    Three phases, each against fresh :class:`CompileService` instances:
 
     1. **fault-free identity** -- with no faults installed, every
-       response must be bit-identical to a reference compile with the
-       breaker closed, nothing shed, nothing degraded (the resilience
-       layer is free on the healthy path);
-    2. **transient dispatch faults** -- ``service-deadline`` raises on
-       the first dispatch attempts; bounded retry must absorb them and
-       still return bit-identical programs;
+       response must be bit-identical to a reference compile with
+       nothing shed and nothing failed (the service is free on the
+       healthy path);
+    2. **engine fault boundary** -- a ``resilient=True`` service under
+       seeded ``plan``/``coloring`` raise faults must answer every
+       request with a program whose output matches the reference, and
+       list every procedure a fault hit in ``result.program.report``;
+       a later fault-free request must be bit-identical again (demoted
+       plans are not cached).  A non-resilient service whose dispatch
+       raises (``service-deadline``) must fail exactly that group's
+       requests with the original exception, leave no request in
+       flight, and serve the next request bit-identically;
     3. **admission shedding** -- ``service-queue`` raises for a few
        admissions; exactly those requests fail with the *typed*
        :class:`ServiceOverloaded` (never an unhandled crash) and the
-       rest compile normally;
-    4. **breaker + degraded serving** -- persistent dispatch failure
-       trips the per-fingerprint breaker; while open, requests are
-       served *degraded* through the resilient fallback engine and must
-       still be bit-identical (fault-free resilient builds are); after
-       ``reset_timeout`` a half-open probe on the now-healthy path
-       closes the breaker again.
+       rest compile normally.
     """
     options = PAPER_CONFIGS[config]
     benches = load_benchmarks()
@@ -339,7 +340,7 @@ def run_service_chaos(seed: int, config: str,
                 "reference build"
             )
 
-    # phase 1: fault-free -- identity, breaker closed, nothing shed
+    # phase 1: fault-free -- identity, nothing shed, nothing failed
     async def fault_free():
         svc = CompileService(options)
         results = await asyncio.gather(
@@ -352,15 +353,10 @@ def run_service_chaos(seed: int, config: str,
         svc, results = asyncio.run(fault_free())
         for name, res in zip(selected, results):
             check_identical("service fault-free", name, res)
-            if res.degraded:
-                violations.append(
-                    f"service fault-free: {name} served degraded"
-                )
         s = svc.stats
-        if s.shed or s.degraded or s.retries or s.breaker_trips \
-                or svc.breaker_states():
+        if s.shed or s.failed:
             violations.append(
-                f"service fault-free: resilience machinery engaged on a "
+                f"service fault-free: requests shed or failed on a "
                 f"healthy path ({s.to_dict()})"
             )
         if verbose:
@@ -371,52 +367,101 @@ def run_service_chaos(seed: int, config: str,
             f"service fault-free phase: unhandled exception {exc!r}"
         )
 
-    # phase 2: transient dispatch faults absorbed by bounded retry
-    retry_plan = faults.FaultPlan(specs=[
-        faults.FaultSpec(site=faults.SITE_SERVICE_DEADLINE, kind="raise",
-                         count=2),
-    ])
-
-    async def retried():
-        svc = CompileService(
-            options,
-            retry=RetryPolicy(max_attempts=3, backoff_base=0.005,
-                              seed=seed),
+    # phase 2a: the resilient engine demotes crashed procedures
+    plans = [
+        faults.FaultPlan.seeded(
+            seed + i, sites=(faults.SITE_PLAN, faults.SITE_COLORING)
         )
-        with faults.active(retry_plan):
-            results = await asyncio.gather(
-                *(svc.compile(benches[n].source) for n in selected)
-            )
-            await svc.join()
-        return svc, results
+        for i in range(len(selected))
+    ]
+
+    async def demoted():
+        svc = CompileService(options, resilient=True)
+        faulted = []
+        for name, plan in zip(selected, plans):
+            with faults.active(plan):
+                faulted.append(await svc.compile(benches[name].source))
+        clean = await asyncio.gather(
+            *(svc.compile(benches[n].source) for n in selected)
+        )
+        await svc.join()
+        return faulted, clean
 
     try:
-        svc, results = asyncio.run(retried())
-        for name, res in zip(selected, results):
-            check_identical("service retry", name, res)
-        fired = len(retry_plan.fired)
+        faulted, clean = asyncio.run(demoted())
+        fired = sum(len(plan.fired) for plan in plans)
+        for name, plan, res in zip(selected, plans, faulted):
+            violations += [
+                f"service fault boundary: {v}"
+                for v in _demotion_violations(
+                    name, plan, res.program.report,
+                    res.program.run(sim_tier="interp").output,
+                    refs[name].run(sim_tier="interp").output,
+                )
+            ]
         if not fired:
             violations.append(
-                "service retry phase: no dispatch fault fired "
-                "(site unwired?)"
+                "service fault boundary: no engine fault fired "
+                "(sites unwired?)"
             )
-        if svc.stats.retries < fired:
-            violations.append(
-                f"service retry phase: {fired} faults fired but only "
-                f"{svc.stats.retries} retries recorded"
-            )
-        if svc.stats.failed:
-            violations.append(
-                f"service retry phase: {svc.stats.failed} requests "
-                "failed despite retry budget"
-            )
+        for name, res in zip(selected, clean):
+            check_identical("service fault boundary (after faults)",
+                            name, res)
         if verbose:
-            print(f"svc-retry    fired={fired} "
-                  f"retries={svc.stats.retries} "
-                  f"failed={svc.stats.failed}")
+            print(f"svc-demote   fired={fired} clean-after={len(clean)}")
     except Exception as exc:
         violations.append(
-            f"service retry phase: unhandled exception {exc!r}"
+            f"service fault boundary phase: unhandled exception {exc!r}"
+        )
+
+    # phase 2b: without resilience a crashed dispatch fails its group once
+    split = (len(selected) + 1) // 2
+    dispatch_plan = faults.FaultPlan(specs=[
+        faults.FaultSpec(site=faults.SITE_SERVICE_DEADLINE, kind="raise",
+                         count=1),
+    ])
+
+    async def crashed():
+        svc = CompileService(options, max_batch=split)
+        with faults.active(dispatch_plan):
+            results = await asyncio.gather(
+                *(svc.compile(benches[n].source) for n in selected),
+                return_exceptions=True,
+            )
+            await svc.join()
+        leaked = len(svc._inflight)
+        after = await svc.compile(benches[selected[0]].source)
+        await svc.join()
+        return results, leaked, after
+
+    try:
+        results, leaked, after = asyncio.run(crashed())
+        for i, (name, res) in enumerate(zip(selected, results)):
+            failed = isinstance(res, faults.InjectedFault)
+            if failed != (i < split):
+                if not isinstance(res, BaseException):
+                    res = "a program"
+                violations.append(
+                    f"service dispatch fault: {name} returned {res!r}; "
+                    f"exactly the crashed group (the first {split}) must "
+                    "fail, with the injected fault"
+                )
+            elif not failed:
+                check_identical("service dispatch fault", name, res)
+        if leaked:
+            violations.append(
+                f"service dispatch fault: {leaked} requests left in "
+                "flight after the group failed"
+            )
+        check_identical("service dispatch fault (next request)",
+                        selected[0], after)
+        if verbose:
+            failed = sum(isinstance(r, BaseException) for r in results)
+            print(f"svc-crash    fired={len(dispatch_plan.fired)} "
+                  f"failed={failed} leaked={leaked}")
+    except Exception as exc:
+        violations.append(
+            f"service dispatch fault phase: unhandled exception {exc!r}"
         )
 
     # phase 3: admission control sheds with the typed error
@@ -471,71 +516,6 @@ def run_service_chaos(seed: int, config: str,
             f"service shed phase: unhandled exception {exc!r}"
         )
 
-    # phase 4: breaker trips -> degraded serving -> probe closes it
-    breaker_name = selected[0]
-    breaker_source = benches[breaker_name].source
-    trip_plan = faults.FaultPlan(specs=[
-        faults.FaultSpec(site=faults.SITE_SERVICE_DEADLINE, kind="raise",
-                         count=2),
-    ])
-
-    async def breaker():
-        svc = CompileService(
-            options,
-            retry=None,
-            breaker=BreakerPolicy(failure_threshold=2,
-                                  reset_timeout=0.2),
-        )
-        with faults.active(trip_plan):
-            failures = 0
-            for _ in range(2):
-                try:
-                    await svc.compile(breaker_source)
-                except faults.InjectedFault:
-                    failures += 1
-            degraded = await svc.compile(breaker_source)
-            await asyncio.sleep(0.25)  # past reset_timeout: probe opens
-            probed = await svc.compile(breaker_source)
-            await svc.join()
-        return svc, failures, degraded, probed
-
-    try:
-        svc, failures, degraded, probed = asyncio.run(breaker())
-        if failures != 2:
-            violations.append(
-                f"service breaker phase: expected 2 primary failures, "
-                f"saw {failures}"
-            )
-        if not svc.stats.breaker_trips:
-            violations.append(
-                "service breaker phase: breaker never tripped"
-            )
-        if not degraded.degraded:
-            violations.append(
-                "service breaker phase: open breaker did not serve "
-                "degraded"
-            )
-        check_identical("service breaker", breaker_name, degraded)
-        if probed.degraded:
-            violations.append(
-                "service breaker phase: healthy half-open probe still "
-                "served degraded"
-            )
-        check_identical("service breaker", breaker_name, probed)
-        if svc.breaker_states():
-            violations.append(
-                f"service breaker phase: breaker still "
-                f"{svc.breaker_states()} after a successful probe"
-            )
-        if verbose:
-            print(f"svc-breaker  trips={svc.stats.breaker_trips} "
-                  f"degraded={svc.stats.degraded} "
-                  f"recovered={not probed.degraded}")
-    except Exception as exc:
-        violations.append(
-            f"service breaker phase: unhandled exception {exc!r}"
-        )
-
     if verbose:
         print(f"service total: {len(violations)} violations")
     return violations
@@ -554,7 +534,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="run the artifact-store chaos phases instead "
                              "of the toolchain sweep")
     parser.add_argument("--service", action="store_true",
-                        help="run the compile-service resilience phases "
+                        help="run the compile-service failure-path phases "
                              "instead of the toolchain sweep")
     args = parser.parse_args(argv)
     if args.store:

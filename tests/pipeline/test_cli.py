@@ -95,6 +95,41 @@ def test_bad_register_counts_exit_cleanly(capsys, src_file, flags):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("text,where", [
+    ("func main() { print 1 +; }\n", ":1:24: expected an expression"),
+    ("func main() {\n  print 1 @ 2;\n}\n", ":2:11: unexpected character"),
+    ("func main() { print nothere; }\n", ":1:0: in func main: undefined"),
+])
+def test_compile_errors_print_one_line(capsys, tmp_path, text, where):
+    bad = tmp_path / "bad.mc"
+    bad.write_text(text)
+    for command in ("run", "asm", "stats"):
+        assert main([command, str(bad), "-O", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{bad}{where}")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
+def test_errors_without_a_source_print_one_line(capsys, tmp_path):
+    f = tmp_path / "lib.mc"
+    f.write_text("func notmain() { return 1; }\n")
+    assert main(["run", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("repro: entry point 'main'")
+    assert captured.err.count("\n") == 1
+
+
+def test_compile_errors_name_the_file_at_fault(capsys, tmp_path):
+    good = tmp_path / "good.mc"
+    good.write_text("extern func h(1); func main() { print h(20); }")
+    bad = tmp_path / "lib.mc"
+    bad.write_text("func h(x) {\n  return x *;\n}\n")
+    assert main(["run", str(good), str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"{bad}:2:")
+
+
 def test_register_flags_build_the_paper_presets():
     def options(callers=None, callees=None):
         return _options(argparse.Namespace(

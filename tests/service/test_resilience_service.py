@@ -1,23 +1,21 @@
-"""The service's resilience layer: deadlines, cooperative cancellation,
-bounded retry, circuit breaking, admission control, graceful drain."""
+"""The service's failure paths: deadlines, cooperative cancellation,
+fail-once errors, the resilient engine's demotions, admission control,
+graceful drain."""
 
 import asyncio
 
 import pytest
 
 from repro import faults
-from repro.engine.core import BatchCancelled
 from repro.frontend.errors import OptionsError
-from repro.pipeline.options import O2
+from repro.pipeline.options import O2, O3
 from repro.service import (
-    BreakerPolicy,
     CompileService,
     DeadlineExceeded,
-    RetryPolicy,
     ServiceClosed,
-    ServiceError,
     ServiceOverloaded,
 )
+from repro.tools.warmstart import executable_digest
 
 SRC = """
 func leaf(a) {{ return a + 3; }}
@@ -29,42 +27,17 @@ def go(coro):
     return asyncio.run(coro)
 
 
-class FakeClock:
-    def __init__(self):
-        self.t = 0.0
-
-    def advance(self, seconds: float):
-        self.t += seconds
-
-    def __call__(self) -> float:
-        return self.t
-
-
-# -- policies ----------------------------------------------------------------
-
-def test_retry_policy_backoff_is_deterministic_and_grows():
-    p = RetryPolicy(seed=7)
-    assert p.backoff(0, "k") == p.backoff(0, "k")
-    assert p.backoff(0, "k") != p.backoff(0, "other")
-    assert p.backoff(2, "k") > p.backoff(0, "k")
-    assert RetryPolicy(jitter=0.0).backoff(1, "k") == pytest.approx(0.04)
-
-
-def test_retry_policy_classifies_transience():
-    p = RetryPolicy()
-    assert p.retryable(RuntimeError("pool died"))
-    assert not p.retryable(OptionsError("no main"))       # deterministic
-    assert not p.retryable(BatchCancelled())              # nobody waits
-    assert not p.retryable(ServiceError("typed rejection"))
-
+# -- validation --------------------------------------------------------------
 
 def test_policy_validation():
     with pytest.raises(ValueError):
-        RetryPolicy(max_attempts=0)
-    with pytest.raises(ValueError):
-        BreakerPolicy(failure_threshold=0)
-    with pytest.raises(ValueError):
         CompileService(O2, max_queue=0)
+    with pytest.raises(ValueError):
+        CompileService(O2, max_batch=0)
+    with pytest.raises(ValueError):
+        CompileService(O2, batch_window=-1.0)
+    with pytest.raises(ValueError):
+        CompileService(O2, default_deadline=-1.0)
 
 
 # -- deadlines and cooperative cancellation ----------------------------------
@@ -92,7 +65,7 @@ def test_deadline_exceeded_while_dispatch_hangs():
     ])
 
     async def scenario():
-        svc = CompileService(O2, retry=None)
+        svc = CompileService(O2)
         with faults.active(plan):
             with pytest.raises(DeadlineExceeded):
                 await svc.compile(SRC.format(n=1), deadline=0.05)
@@ -111,7 +84,7 @@ def test_dedup_waiter_without_deadline_keeps_request_alive():
     ])
 
     async def scenario():
-        svc = CompileService(O2, retry=None, batch_window=0.02)
+        svc = CompileService(O2, batch_window=0.02)
         src = SRC.format(n=2)
         with faults.active(plan):
             impatient = asyncio.ensure_future(
@@ -142,51 +115,51 @@ def test_default_deadline_applies():
     assert go(scenario()).stats.deadline_expired == 1
 
 
-# -- bounded retry -----------------------------------------------------------
+# -- one failure path --------------------------------------------------------
 
-def test_transient_dispatch_fault_is_retried():
-    plan = faults.FaultPlan(specs=[
+def _dispatch_crash(count=1):
+    return faults.FaultPlan(specs=[
         faults.FaultSpec(site=faults.SITE_SERVICE_DEADLINE, kind="raise",
-                         count=1),
+                         count=count),
     ])
 
-    async def scenario():
-        svc = CompileService(
-            O2, retry=RetryPolicy(max_attempts=2, backoff_base=0.001)
-        )
-        with faults.active(plan):
-            result = await svc.compile(SRC.format(n=1))
-            await svc.join()
-        return svc, result
 
-    svc, result = go(scenario())
-    assert result.program.run().output == [8]
-    assert svc.stats.retries == 1
-    assert svc.stats.failed == 0
-    assert svc.stats.compiled == 1
-
-
-def test_retry_budget_exhaustion_surfaces_the_fault():
-    plan = faults.FaultPlan(specs=[
-        faults.FaultSpec(site=faults.SITE_SERVICE_DEADLINE, kind="raise",
-                         count=None),
-    ])
+def test_dispatch_fault_fails_its_group_once():
+    """A crashed dispatch fails every request of its group once, with the
+    original exception, and leaves no state behind: the next request for
+    the same source compiles normally."""
+    plan = _dispatch_crash()
+    src = SRC.format(n=1)
 
     async def scenario():
-        svc = CompileService(
-            O2, retry=RetryPolicy(max_attempts=2, backoff_base=0.001),
-            breaker=None,
-        )
+        svc = CompileService(O2, batch_window=0.02)
         with faults.active(plan):
-            with pytest.raises(faults.InjectedFault):
-                await svc.compile(SRC.format(n=1))
+            results = await asyncio.gather(
+                svc.compile(src), svc.compile(src),
+                svc.compile(SRC.format(n=2)),
+                return_exceptions=True,
+            )
             await svc.join()
-        return svc
+        inflight_after_failure = dict(svc._inflight)
+        records_after_failure = len(svc.engine.stats.records)
+        after = await svc.compile(src)
+        await svc.join()
+        return (svc, results, inflight_after_failure,
+                records_after_failure, after)
 
-    svc = go(scenario())
-    assert svc.stats.retries == 1
-    assert svc.stats.failed == 1
-    assert not svc._inflight
+    svc, results, inflight, records, after = go(scenario())
+    assert len(plan.fired) == 1                # dispatched once, no rerun
+    assert all(isinstance(r, faults.InjectedFault) for r in results)
+    assert results[0] is results[1] is results[2]  # the original exception
+    assert svc.stats.failed == 2               # two flights, one deduped
+    assert svc.stats.deduped == 1
+    assert not inflight
+    assert records == 0                        # the engine never ran
+    assert not after.deduped
+    assert after.program.run().output == [8]
+    assert executable_digest(after.program.executable) == \
+        executable_digest(go(CompileService(O2).compile(src)).program
+                          .executable)
 
 
 def test_deterministic_compile_errors_never_retry():
@@ -198,101 +171,41 @@ def test_deterministic_compile_errors_never_retry():
         return svc
 
     svc = go(scenario())
-    assert svc.stats.retries == 0
     assert svc.stats.failed == 1
-
-
-# -- circuit breaker and degraded serving ------------------------------------
-
-def _failing_plan(count=None):
-    return faults.FaultPlan(specs=[
-        faults.FaultSpec(site=faults.SITE_SERVICE_DEADLINE, kind="raise",
-                         count=count),
-    ])
-
-
-def test_breaker_trips_serves_degraded_and_recovers():
-    clock = FakeClock()
-    src = SRC.format(n=4)
-
-    async def scenario():
-        svc = CompileService(
-            O2, retry=None,
-            breaker=BreakerPolicy(failure_threshold=2, reset_timeout=10.0),
-            clock=clock,
-        )
-        with faults.active(_failing_plan()):
-            for _ in range(2):
-                with pytest.raises(faults.InjectedFault):
-                    await svc.compile(src)
-            assert svc.breaker_states() == {
-                next(iter(svc.breaker_states())): "open"
-            }
-            degraded = await svc.compile(src)  # open: fallback serves
-        clock.advance(10.0)                    # past reset: probe
-        probed = await svc.compile(src)        # faults gone: heals
-        await svc.join()
-        return svc, degraded, probed
-
-    svc, degraded, probed = go(scenario())
-    assert svc.stats.breaker_trips == 1
-    assert degraded.degraded
-    assert degraded.program.run().output == [14]
-    assert svc.stats.degraded == 1
-    assert not probed.degraded
-    assert probed.program.run().output == [14]
-    assert svc.breaker_states() == {}          # closed again
-
-
-def test_failed_halfopen_probe_reopens_the_breaker():
-    clock = FakeClock()
-    src = SRC.format(n=5)
-
-    async def scenario():
-        svc = CompileService(
-            O2, retry=None,
-            breaker=BreakerPolicy(failure_threshold=1, reset_timeout=5.0),
-            clock=clock,
-        )
-        with faults.active(_failing_plan()):
-            with pytest.raises(faults.InjectedFault):
-                await svc.compile(src)         # trips
-            clock.advance(5.0)
-            with pytest.raises(faults.InjectedFault):
-                await svc.compile(src)         # probe fails: reopens
-            again = await svc.compile(src)     # open again: degraded
-            await svc.join()
-        return svc, again
-
-    svc, again = go(scenario())
-    assert svc.stats.breaker_trips == 2
-    assert again.degraded
-    assert list(svc.breaker_states().values()) == ["open"]
+    assert svc.stats.batches == 1
+    assert len(svc.engine.stats.records) <= 1
 
 
 def test_degraded_results_match_the_primary_path():
-    from repro.tools.warmstart import executable_digest
-
-    clock = FakeClock()
+    """A resilient service demotes a crashed procedure instead of failing
+    the request, reports the demotion in ``program.report``, and does not
+    cache the demoted plan: the next fault-free request is bit-identical
+    to a plain compile."""
     src = SRC.format(n=6)
+    plan = faults.FaultPlan(specs=[
+        faults.FaultSpec(site=faults.SITE_COLORING, kind="raise",
+                         match="leaf"),
+    ])
 
     async def scenario():
-        svc = CompileService(
-            O2, retry=None,
-            breaker=BreakerPolicy(failure_threshold=1, reset_timeout=99.0),
-            clock=clock,
-        )
-        with faults.active(_failing_plan(count=1)):
-            with pytest.raises(faults.InjectedFault):
-                await svc.compile(src)
-        degraded = await svc.compile(src)
+        # O3: interprocedural allocation, so the demotion shows in the code
+        svc = CompileService(O3, resilient=True)
+        with faults.active(plan):
+            demoted = await svc.compile(src)
+        clean = await svc.compile(src)
         await svc.join()
-        return degraded
+        return svc, demoted, clean
 
-    degraded = go(scenario())
-    reference = go(CompileService(O2).compile(SRC.format(n=6)))
-    assert degraded.degraded and not reference.degraded
-    assert executable_digest(degraded.program.executable) == \
+    svc, demoted, clean = go(scenario())
+    reference = go(CompileService(O3).compile(src))
+    assert plan.fired == [(faults.SITE_COLORING, "leaf", "raise")]
+    assert svc.stats.failed == 0 and svc.stats.compiled == 2
+    assert demoted.program.report.degraded_procedures() == {"leaf"}
+    assert demoted.program.run().output == [18]
+    assert executable_digest(demoted.program.executable) != \
+        executable_digest(reference.program.executable)
+    assert not clean.program.report.degradations
+    assert executable_digest(clean.program.executable) == \
         executable_digest(reference.program.executable)
 
 
@@ -361,7 +274,7 @@ def test_drain_deadline_fails_stragglers_instead_of_hanging():
     ])
 
     async def scenario():
-        svc = CompileService(O2, retry=None, batch_window=0.005)
+        svc = CompileService(O2, batch_window=0.005)
         with faults.active(plan):
             straggler = asyncio.ensure_future(
                 svc.compile(SRC.format(n=1))
@@ -388,7 +301,7 @@ def test_group_failure_resolves_every_waiter(monkeypatch):
     an abandoned in-flight future."""
 
     async def scenario():
-        svc = CompileService(O2, retry=None, batch_window=0.02)
+        svc = CompileService(O2, batch_window=0.02)
 
         def boom():
             raise RuntimeError("snapshot exploded")

@@ -135,12 +135,38 @@ def test_store_corruptions_are_counted_once(tmp_path):
     assert clean[-1].report.cache_corruptions == 0
 
 
+def _flip_a_byte(blob):
+    data = bytearray(blob.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    blob.write_bytes(bytes(data))
+
+
+def test_scrub_quarantines_are_not_booked_to_the_next_compile(tmp_path):
+    engine = Engine(O3_SW, store_path=tmp_path)
+    engine.compile(SRC)
+    blobs = sorted(_blobs(engine.store))
+    _flip_a_byte(blobs[0])
+    assert engine.store.scrub()["quarantined"] == 1
+    engine.compile(SRC)                  # served from memory: no reads
+    assert [r.cache_corruptions for r in engine.stats.records] == [0, 0]
+    assert engine.store.stats.corruptions == 1
+    assert engine.store.stats.read_corruptions == 0
+
+    # a read that meets a corrupt blob still books it, exactly once
+    _flip_a_byte(blobs[1])
+    warm = Engine(O3_SW, store_path=tmp_path)
+    warm.compile(SRC)
+    warm.compile(SRC)
+    assert [r.cache_corruptions for r in warm.stats.records] == [1, 0]
+    assert warm.store.stats.read_corruptions == 1
+
+
 def test_shared_store_handle_counts_only_this_engines_traffic(tmp_path):
     cold = Engine(O3_SW, store_path=tmp_path)
     cold.compile(SRC)
     assert cold.stats.records[-1].stages["store"].misses > 0
-    # a second engine over the same handle (as the service's fallback
-    # engine is) starts its store deltas from the handle's counters
+    # a second engine over the same handle starts its store deltas from
+    # the handle's counters
     warm = Engine(O3_SW, store_path=cold.store)
     warm.compile(SRC)
     rec = warm.stats.records[-1]
